@@ -9,16 +9,19 @@
 //	grtbench            # the full paper evaluation
 //	grtbench -fast      # MNIST + AlexNet only
 //	grtbench -perf      # memory-sync micro-benchmarks -> BENCH_PR4.json
-//	grtbench -fleet -engine parallel -gpus 16
-//	                    # fleet drill, serial vs parallel engine -> BENCH_PR6.json
-//	grtbench -fleet -clients 10000 -workloads 100 -shards 4
-//	                    # sharded cache-first fleet drill -> BENCH_PR8.json
+//	grtbench -fleet -sessions 16
+//	                    # drill: serial then parallel engine, seal identity -> BENCH_PR6.json
+//	grtbench -fleet -clients 10000 -sessions 100 -shards 4 -fleetout BENCH_PR8.json
+//	                    # cache-first sharded drill, amplification gate
 //	grtbench -perf -ckpt-mode incremental -ckpt-gate 0.5
 //	                    # checkpoint capture, full vs incremental, plus the
 //	                    # fleet speculation warm start -> BENCH_PR9.json
-//	grtbench -fleet -health-plan dying-gpu -gpus 100
-//	                    # degraded-fleet drill: device faults, cross-VM
-//	                    # migration, byte-identity gate -> BENCH_PR10.json
+//	grtbench -fleet -health-plan dying-gpu -sessions 100 -fleetout BENCH_PR10.json
+//	                    # degraded drill: device faults, cross-VM migration,
+//	                    # byte-identity gate
+//
+// Every -fleet drill runs twice (platform.Drill) and fails (exit 1) on the
+// first drill gate that does not hold (platform.CheckGates).
 //
 // Inconsistent flag combinations (e.g. -clients without -fleet, or an
 // explicit -shards 0) are rejected with exit code 2 and a single-line JSON
@@ -38,43 +41,36 @@ import (
 	"gpurelay/internal/faultsim"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
+	"gpurelay/internal/platform"
 )
 
 // flagRejection is the machine-readable report grtbench emits when the flag
 // surface is combined inconsistently. Mirrors grtreplay's rejection schema.
 type flagRejection struct {
 	Rejected bool   `json:"rejected"`
-	Stage    string `json:"stage"`  // always "flags"
+	Stage    string `json:"stage"`  // "flags" or "fault-plan"
 	Reason   string `json:"reason"` // stable token: needs_fleet|bad_shards|...
 	Error    string `json:"error"`
 }
 
-// rejectFlags prints one JSON line to stderr and exits 2: the invocation,
-// not the environment, is at fault.
-func rejectFlags(reason, msg string) {
-	line, err := json.Marshal(flagRejection{Rejected: true, Stage: "flags", Reason: reason, Error: msg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, `{"rejected":true,"stage":"flags","reason":%q}`+"\n", reason)
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, string(line))
-	os.Exit(2)
-}
+// rejectFlags reports an inconsistent flag combination.
+func rejectFlags(reason, msg string) { reject("flags", reason, msg) }
 
 // rejectPlan reports an unparsable -health-plan the same way grtrecord's
-// -faults path does: one JSON line carrying the parser's stable reason
-// token, exit 2.
+// -faults path does, with the parser's stable reason token.
 func rejectPlan(err error) {
 	reason := "bad_plan"
 	var pe *faultsim.PlanError
 	if errors.As(err, &pe) {
 		reason = pe.Reason
 	}
-	line, merr := json.Marshal(flagRejection{Rejected: true, Stage: "fault-plan", Reason: reason, Error: err.Error()})
-	if merr != nil {
-		fmt.Fprintf(os.Stderr, `{"rejected":true,"stage":"fault-plan","reason":%q}`+"\n", reason)
-		os.Exit(2)
-	}
+	reject("fault-plan", reason, err.Error())
+}
+
+// reject prints one JSON line to stderr and exits 2: the invocation, not
+// the environment, is at fault.
+func reject(stage, reason, msg string) {
+	line, _ := json.Marshal(flagRejection{Rejected: true, Stage: stage, Reason: reason, Error: msg})
 	fmt.Fprintln(os.Stderr, string(line))
 	os.Exit(2)
 }
@@ -83,32 +79,25 @@ func main() {
 	fast := flag.Bool("fast", false, "run only MNIST and AlexNet")
 	perf := flag.Bool("perf", false, "run memory-sync micro-benchmarks and write a perf artifact")
 	perfOut := flag.String("perfout", "BENCH_PR4.json", "perf artifact output path (with -perf)")
-	fleet := flag.Bool("fleet", false, "run the multi-session fleet drill on the discrete-event engine and write a scheduling artifact")
-	fleetOut := flag.String("fleetout", "BENCH_PR6.json", "fleet artifact output path (with -fleet)")
-	traceOut := flag.String("trace-out", "", "with -fleet: write the instrumented drill's combined Chrome trace (per-session spans + engine handler spans) to this file")
-	healthOut := flag.String("health-out", "", "with -fleet: write the instrumented drill's fleet health report (grt-health/1 JSON, for grtdiag health) to this file")
-	engineFlag := flag.String("engine", "serial", "discrete-event engine for the fleet drill: serial|parallel (parallel also runs the serial baseline and reports the speedup)")
-	gpus := flag.Int("gpus", 1, "fleet drill sessions, one GPU each (with -fleet; 1 selects the default 16-session drill)")
-	clients := flag.Int("clients", 0, "with -fleet: simulated client admissions for the sharded cache-first drill (selects the sharded drill; 0 with -shards/-workloads -> 10000)")
-	workloads := flag.Int("workloads", 0, "with -fleet: distinct workloads across the sharded drill's clients (0 -> 100)")
-	shards := flag.Int("shards", 0, "with -fleet: session-manager partitions under consistent hashing on the cache key (0 -> 4; an explicit 0 is rejected)")
-	shardOut := flag.String("shardout", "BENCH_PR8.json", "sharded fleet artifact output path (with -fleet -clients/-workloads/-shards)")
-	ampGate := flag.Float64("amp-gate", 0, "with the sharded drill: fail (exit 1) when record-amplification exceeds this ceiling (0 = no gate)")
+	fleet := flag.Bool("fleet", false, "run the record-session drill twice on the discrete-event engine, gate it, and write a grt-drill/1 artifact")
+	fleetOut := flag.String("fleetout", "BENCH_PR6.json", "drill artifact output path (with -fleet)")
+	traceOut := flag.String("trace-out", "", "with -fleet: write the instrumented run's combined Chrome trace (per-session spans + engine handler spans) to this file")
+	healthOut := flag.String("health-out", "", "with -fleet: write the instrumented run's fleet health report (grt-health/1 JSON, for grtdiag health) to this file")
+	sessions := flag.Int("sessions", 0, "with -fleet: record sessions, or distinct workloads with -clients (omitted -> the drill's default)")
+	clients := flag.Int("clients", 0, "with -fleet: client arrivals at a cache-first sharded front over -sessions workloads (selects the cache drill)")
+	shards := flag.Int("shards", 0, "with -fleet -clients: admission partitions under consistent hashing on the cache key (omitted -> the drill's default)")
+	healthPlan := flag.String("health-plan", "", "with -fleet: afflict every fourth session with this device-health fault plan (preset name or spec, e.g. dying-gpu) and gate on migration and byte identity")
 	ckptMode := flag.String("ckpt-mode", "", "with -perf: also benchmark checkpoint capture (full|incremental; incremental measures both modes plus the fleet speculation warm start) and write the checkpoint artifact")
 	ckptOut := flag.String("ckptout", "BENCH_PR9.json", "checkpoint artifact output path (with -perf -ckpt-mode)")
 	ckptGate := flag.Float64("ckpt-gate", 0, "with -perf -ckpt-mode incremental: fail (exit 1) when the incremental/full capture-time ratio reaches this ceiling on any footprint (0 = no gate)")
-	healthPlan := flag.String("health-plan", "", "with -fleet: run the degraded-fleet drill under this device-health fault plan (preset name or spec, e.g. dying-gpu); -gpus sets the fleet size (<=1 -> 100)")
-	degradedOut := flag.String("degradedout", "BENCH_PR10.json", "degraded-fleet artifact output path (with -fleet -health-plan)")
 	flag.Parse()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	shardDrill := set["clients"] || set["workloads"] || set["shards"]
 
 	if set["ckpt-mode"] || set["ckptout"] || set["ckpt-gate"] {
 		// The checkpoint benchmark's flag surface is validated before
-		// anything runs, same machine-readable convention as the sharded
-		// drill's (satellite: `-ckpt-mode` flag surface).
+		// anything runs.
 		if !set["ckpt-mode"] {
 			rejectFlags("needs_ckpt_mode", "-ckptout/-ckpt-gate configure the checkpoint benchmark and need -ckpt-mode")
 		}
@@ -125,82 +114,27 @@ func main() {
 			rejectFlags("gate_needs_incremental", "-ckpt-gate compares incremental to full capture and needs -ckpt-mode incremental")
 		}
 	}
-
-	if *engineFlag != "serial" && *engineFlag != "parallel" {
-		log.Fatalf("unknown engine %q (serial|parallel)", *engineFlag)
+	// The drill flags only forward values: platform.Drill owns the
+	// defaults and rejects inconsistent combinations as a
+	// *platform.OptionError before anything runs.
+	for _, name := range []string{"sessions", "clients", "shards", "health-plan", "fleetout", "trace-out", "health-out"} {
+		if set[name] && !*fleet {
+			rejectFlags("needs_fleet", fmt.Sprintf("-%s configures the drill and needs -fleet", name))
+		}
 	}
-	if shardDrill {
-		// The sharded drill's flag surface is validated before anything
-		// runs; inconsistent combinations are a misconfiguration, reported
-		// machine-readably (satellite: `grtbench -fleet` flag surface).
-		if !*fleet {
-			rejectFlags("needs_fleet", "-clients/-workloads/-shards select the sharded fleet drill and need -fleet")
-		}
-		if set["shards"] && *shards <= 0 {
-			rejectFlags("bad_shards", fmt.Sprintf("-shards %d: the drill needs at least one admission partition", *shards))
-		}
-		if set["clients"] && *clients <= 0 {
-			rejectFlags("bad_clients", fmt.Sprintf("-clients %d: the drill needs at least one admission", *clients))
-		}
-		if set["workloads"] && *workloads <= 0 {
-			rejectFlags("bad_workloads", fmt.Sprintf("-workloads %d: the drill needs at least one workload", *workloads))
-		}
-		if *clients == 0 {
-			*clients = 10000
-		}
-		if *workloads == 0 {
-			*workloads = 100
-		}
-		if *shards == 0 {
-			*shards = 4
-		}
-		if *workloads > *clients {
-			rejectFlags("workloads_exceed_clients",
-				fmt.Sprintf("-workloads %d > -clients %d: every workload needs at least one admission", *workloads, *clients))
-		}
-		if set["engine"] && *engineFlag == "parallel" {
-			rejectFlags("engine_conflict", "the sharded drill is event-native on its own serial engine; -engine parallel belongs to the -gpus drill")
-		}
-		if set["gpus"] {
-			rejectFlags("gpus_conflict", "-gpus selects the per-GPU fleet drill; it cannot combine with -clients/-workloads/-shards")
-		}
-		if *traceOut != "" {
-			rejectFlags("trace_conflict", "the sharded drill exports no engine trace; -trace-out belongs to the -gpus drill")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"sessions", *sessions}, {"clients", *clients}, {"shards", *shards}} {
+		if set[f.name] && f.v <= 0 {
+			rejectFlags("bad_"+f.name, fmt.Sprintf("-%s %d: need at least one (omit the flag for the drill's default)", f.name, f.v))
 		}
 	}
 	var plan *faultsim.Plan
-	if set["health-plan"] || set["degradedout"] {
-		// The degraded drill's flag surface, same convention: misuse is
-		// reported machine-readably before anything runs.
-		if !set["health-plan"] {
-			rejectFlags("needs_health_plan", "-degradedout configures the degraded-fleet drill and needs -health-plan")
-		}
-		if !*fleet {
-			rejectFlags("needs_fleet", "-health-plan selects the degraded-fleet drill and needs -fleet")
-		}
-		if shardDrill {
-			rejectFlags("shard_conflict", "the degraded drill admits one session per GPU; -clients/-workloads/-shards belong to the sharded drill")
-		}
-		if set["engine"] && *engineFlag == "parallel" {
-			rejectFlags("engine_conflict", "the degraded drill replays device faults on its own serial engine; -engine parallel belongs to the plain -gpus drill")
-		}
-		if *traceOut != "" {
-			rejectFlags("trace_conflict", "the degraded drill exports no engine trace; -trace-out belongs to the plain -gpus drill")
-		}
+	if set["health-plan"] {
 		var err error
 		if plan, err = faultsim.ParsePlan(*healthPlan); err != nil {
 			rejectPlan(err)
-		}
-		health := false
-		for _, f := range plan.Faults {
-			if f.Kind.Health() {
-				health = true
-				break
-			}
-		}
-		if !health {
-			rejectFlags("no_health_faults",
-				fmt.Sprintf("plan %q schedules no device-health fault (thermal/sbe/dbe/falloff); it cannot degrade a GPU", *healthPlan))
 		}
 	}
 	if *perf {
@@ -215,25 +149,15 @@ func main() {
 		return
 	}
 	if *fleet {
-		if plan != nil {
-			if err := runDegradedFleet(plan, *healthPlan, *gpus, *degradedOut, *healthOut); err != nil {
-				log.Fatal(err)
+		opts := drillOptions(*sessions, *clients, *shards, plan)
+		if err := runDrill(opts, *healthPlan, *fleetOut, *traceOut, *healthOut); err != nil {
+			var oe *platform.OptionError
+			if errors.As(err, &oe) {
+				rejectFlags(oe.Reason, oe.Error())
 			}
-			return
-		}
-		if shardDrill {
-			if err := runShardFleet(*clients, *workloads, *shards, *shardOut, *healthOut, *ampGate); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		if err := runFleet(*engineFlag, *gpus, *fleetOut, *traceOut, *healthOut); err != nil {
 			log.Fatal(err)
 		}
 		return
-	}
-	if *traceOut != "" || *healthOut != "" {
-		log.Fatal("-trace-out and -health-out need -fleet")
 	}
 
 	var suite *experiments.Suite

@@ -415,16 +415,6 @@ func (c *Client) UnsealRecording(workload string, blob []byte) (*Recording, erro
 // span record and replay).
 func (c *Client) Clock() *timesim.Clock { return c.clock }
 
-// compatible returns the devicetree compatible string for the client's GPU.
-func (c *Client) compatible() (string, error) {
-	for compat, sku := range mali.Catalog {
-		if sku == c.SKU {
-			return compat, nil
-		}
-	}
-	return "", fmt.Errorf("gpurelay: SKU %s not in catalog", c.SKU)
-}
-
 // Service is the cloud recording service: a bounded pool of single-tenant
 // recording VMs behind a FIFO admission queue, plus a store of speculation
 // histories shared among sessions recording the same workload on the same
@@ -935,7 +925,7 @@ func (c *Client) RecordContext(ctx context.Context, svc *Service, model *Model, 
 	if opts.Network.Name == "" {
 		opts.Network = WiFi
 	}
-	compat, err := c.compatible()
+	compat, err := mali.Compatible(c.SKU)
 	if err != nil {
 		return nil, RecordStats{}, err
 	}
@@ -1064,7 +1054,7 @@ func (s *Service) recordForCache(ctx context.Context, c *Client, ck castore.Key,
 	if opts.Network.Name == "" {
 		opts.Network = WiFi
 	}
-	compat, err := c.compatible()
+	compat, err := mali.Compatible(c.SKU)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1187,7 +1177,7 @@ func (c *Client) RecordSegmentedContext(ctx context.Context, svc *Service, model
 	if opts.Network.Name == "" {
 		opts.Network = WiFi
 	}
-	compat, err := c.compatible()
+	compat, err := mali.Compatible(c.SKU)
 	if err != nil {
 		return nil, RecordStats{}, err
 	}

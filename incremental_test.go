@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gpurelay/internal/mali"
 	"gpurelay/internal/obs"
 	"gpurelay/internal/timesim"
 )
@@ -178,7 +179,7 @@ func TestShedRetryHonorsHint(t *testing.T) {
 	newShedService := func() (*Service, [32]byte, string, []byte) {
 		svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
 		key := svc.cacheKeyFor(MaliG71MP8, MNIST()).Hash()
-		compat, err := NewClient("shed-probe", MaliG71MP8).compatible()
+		compat, err := mali.Compatible(MaliG71MP8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func TestShedRetryHonorsHint(t *testing.T) {
 	// A free shard admits immediately: no retries, no virtual wait.
 	svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
 	key := svc.cacheKeyFor(MaliG71MP8, MNIST()).Hash()
-	compat, err := NewClient("shed-free", MaliG71MP8).compatible()
+	compat, err := mali.Compatible(MaliG71MP8)
 	if err != nil {
 		t.Fatal(err)
 	}

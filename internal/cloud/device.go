@@ -1,10 +1,13 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"gpurelay/internal/faultsim"
+	"gpurelay/internal/grterr"
 	"gpurelay/internal/obs"
 )
 
@@ -173,6 +176,75 @@ func (d *Device) NoteMigration() {
 	if reg != nil {
 		reg.Add(obs.MDeviceMigrations, 1, d.lbl())
 	}
+}
+
+// DeviceBooks carries one logical session's device-health books across its
+// attempts. The fault injector's tallies are cumulative over every attempt
+// and are the only record that survives an attempt whose stats died with
+// it, so Book charges a device only the growth since the previous call.
+// Lost marks the device an attempt died on, and Migrated notes the
+// migration once the session re-admits on different silicon. Flight (nil
+// is fine) journals both under Session.
+type DeviceBooks struct {
+	Flight    *obs.FlightRecorder
+	Session   string
+	sbe       int
+	throttled time.Duration
+	lost      *Device
+}
+
+// Book charges dev, the device that hosted the attempt, with the corrected
+// ECC faults and throttled time faults tallied since the previous call.
+func (b *DeviceBooks) Book(dev *Device, faults *faultsim.Session) {
+	if faults == nil || dev == nil {
+		return
+	}
+	hc := faults.HealthCounts()
+	if d := hc.SBE - b.sbe; d > 0 {
+		dev.AddSBE(d)
+		b.sbe = hc.SBE
+	}
+	if d := hc.Throttled - b.throttled; d > 0 {
+		dev.AddThrottle(d)
+		b.throttled = hc.Throttled
+	}
+}
+
+// Lost books an attempt on dev that failed with err. A device loss marks
+// dev so no later admission lands on it — an uncorrectable ECC fault
+// degrades it (orderly teardown, poisoned memory), a bus fall-off (XID 79)
+// kills it — and is remembered until Migrated. Any other error is not the
+// device's fault and books nothing.
+func (b *DeviceBooks) Lost(dev *Device, err error, now time.Duration, attempt int) {
+	if dev == nil || !errors.Is(err, grterr.ErrDeviceLost) {
+		return
+	}
+	if errors.Is(err, grterr.ErrBadRecording) {
+		dev.MarkDBE()
+	} else {
+		dev.MarkFallOff()
+	}
+	b.lost = dev
+	b.Flight.Emit(now, b.Session, obs.FKHealthEvent, "device_lost "+dev.ID(),
+		obs.A("attempt", int64(attempt)))
+}
+
+// Migrated notes the session's move off the device it last lost, now that
+// attempt re-admitted it onto to, and returns the route ("gpu-00->gpu-01";
+// flight args are numeric, so the route rides in the note). It returns ""
+// when no device loss is pending.
+func (b *DeviceBooks) Migrated(to *Device, now time.Duration, attempt int) string {
+	if b.lost == nil {
+		return ""
+	}
+	b.lost.NoteMigration()
+	route := b.lost.ID() + "->"
+	if to != nil {
+		route += to.ID()
+	}
+	b.lost = nil
+	b.Flight.Emit(now, b.Session, obs.FKHealthMigrate, route, obs.A("attempt", int64(attempt)))
+	return route
 }
 
 func (d *Device) setRegistry(reg *obs.Registry) {

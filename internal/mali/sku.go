@@ -118,6 +118,17 @@ var Catalog = map[string]*SKU{
 	"arm,mali-g77-mp11": G77MP11,
 }
 
+// Compatible returns the devicetree compatible string sku is cataloged
+// under — the inverse of LookupSKU.
+func Compatible(sku *SKU) (string, error) {
+	for c, s := range Catalog {
+		if s == sku {
+			return c, nil
+		}
+	}
+	return "", fmt.Errorf("mali: SKU %s not in catalog", sku)
+}
+
 // LookupSKU resolves a devicetree compatible string to a SKU.
 func LookupSKU(compatible string) (*SKU, error) {
 	s, ok := Catalog[compatible]

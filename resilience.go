@@ -20,6 +20,7 @@ import (
 	"gpurelay/internal/cloud"
 	"gpurelay/internal/faultsim"
 	"gpurelay/internal/grterr"
+	"gpurelay/internal/mali"
 	"gpurelay/internal/obs"
 	"gpurelay/internal/record"
 	"gpurelay/internal/trace"
@@ -186,7 +187,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 	if opts.Network.Name == "" {
 		opts.Network = WiFi
 	}
-	compat, err := c.compatible()
+	compat, err := mali.Compatible(c.SKU)
 	if err != nil {
 		return nil, RecordStats{}, err
 	}
@@ -279,29 +280,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		inject = opts.InjectMispredictionAt
 	}
 
-	// Device-health bookkeeping across attempts: lostDev is the GPU the
-	// previous attempt died on (marked degraded or dead, awaiting its
-	// migration note once the session re-admits on different silicon);
-	// bookedSBE/bookedStretch track how much of faultsim's cross-attempt
-	// tally has already been attributed to a device — the injector's books
-	// are the only record that survives an attempt whose stats died with it.
-	var lostDev *cloud.Device
-	bookedSBE := 0
-	var bookedStretch time.Duration
-	bookHealth := func(vm *cloud.VM) {
-		if faults == nil || vm.Device == nil {
-			return
-		}
-		hc := faults.HealthCounts()
-		if d := hc.SBE - bookedSBE; d > 0 {
-			vm.Device.AddSBE(d)
-			bookedSBE = hc.SBE
-		}
-		if d := hc.Throttled - bookedStretch; d > 0 {
-			vm.Device.AddThrottle(d)
-			bookedStretch = hc.Throttled
-		}
-	}
+	books := cloud.DeviceBooks{Flight: svc.flight, Session: sessionID}
 
 	for attempt := 0; ; attempt++ {
 		nonce := make([]byte, 16)
@@ -320,22 +299,11 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 				svc.image.Name, compat, ErrAttestation)
 		}
 		opts.Obs.Annotate("session.attested", "session")
-		if lostDev != nil {
-			// Cross-VM migration landed: the replacement VM's device is
-			// different silicon by construction — degraded and dead devices
-			// are never offered to new sessions (cloud.assignDevice).
-			lostDev.NoteMigration()
-			toDev := ""
-			if vm.Device != nil {
-				toDev = vm.Device.ID()
-			}
-			// Flight args are numeric; the migration route rides in the
-			// outcome ("gpu-00->gpu-01"), greppable in trace exports.
-			svc.flight.Emit(c.clock.Now(), sessionID, obs.FKHealthMigrate,
-				lostDev.ID()+"->"+toDev, obs.A("attempt", int64(attempt)))
-			opts.Obs.Annotate("session.migrated "+lostDev.ID()+"->"+toDev, "session",
-				obs.A("attempt", int64(attempt)))
-			lostDev = nil
+		// A cross-VM migration lands on different silicon by construction:
+		// degraded and dead devices are never offered to new sessions
+		// (cloud.assignDevice).
+		if route := books.Migrated(vm.Device, c.clock.Now(), attempt); route != "" {
+			opts.Obs.Annotate("session.migrated "+route, "session", obs.A("attempt", int64(attempt)))
 		}
 		key := append([]byte(nil), vm.SessionKey...)
 		if ckptKey == nil {
@@ -407,7 +375,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			CkptMode: opts.CkptMode, CkptCadence: opts.CkptCadence, OnEpoch: onEpoch,
 		})
 		if err == nil {
-			bookHealth(vm)
+			books.Book(vm.Device, faults)
 			svc.releaseVM(vm)
 			c.clock.Advance(res.Stats.RecordingDelay)
 			res.Stats.Resumes = attempt
@@ -436,22 +404,8 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		// Session lost: the VM (and its key) are gone. Under incremental
 		// capture the resume point is the chain, stitched now — this is the
 		// only place an in-process resume pays the O(session) stitch.
-		bookHealth(vm)
-		if errors.Is(err, grterr.ErrDeviceLost) && vm.Device != nil {
-			// The GPU itself failed, not the link or VM. Mark the device so
-			// it is never scheduled again, and remember it so the migration
-			// is noted once the session re-admits elsewhere. An uncorrectable
-			// ECC fault degrades (orderly teardown, poisoned memory); a bus
-			// fall-off (XID 79) kills the device outright.
-			if errors.Is(err, grterr.ErrBadRecording) {
-				vm.Device.MarkDBE()
-			} else {
-				vm.Device.MarkFallOff()
-			}
-			lostDev = vm.Device
-			svc.flight.Emit(c.clock.Now(), sessionID, obs.FKHealthEvent,
-				"device_lost "+vm.Device.ID(), obs.A("attempt", int64(attempt)))
-		}
+		books.Book(vm.Device, faults)
+		books.Lost(vm.Device, err, c.clock.Now(), attempt)
 		svc.crashVM(vm)
 		if chain != nil && chain.Tip() != nil {
 			if cp, serr := chain.Stitch(); serr == nil {
