@@ -42,7 +42,7 @@ import (
 type rejection struct {
 	Rejected    bool   `json:"rejected"`
 	File        string `json:"file"`
-	Stage       string `json:"stage"`  // verify|audit|session|replay|compare
+	Stage       string `json:"stage"`  // ingest|session|replay|compare
 	Reason      string `json:"reason"` // stable token: bad_recording|audit|sku_mismatch|...
 	Fingerprint string `json:"fingerprint"`
 	Error       string `json:"error"`
@@ -150,7 +150,7 @@ func main() {
 		if *compareFlag != "" || *auditFlag || *fingerprintFlag || *metricsFlag != "" || *traceFlag != "" || *bundleOutFlag != "" {
 			log.Fatal("-compare, -audit, -fingerprint, -metrics, -trace-out and -bundle-out work on the classic single-GPU replay path only")
 		}
-		runPlatformReplay(entries, sku, *engineFlag, *nFlag)
+		runPlatformReplay(*recFlag, entries, sku, *engineFlag, *nFlag)
 		return
 	}
 	payload, mac, key := entries[0].Payload, entries[0].MAC, entries[0].Key

@@ -16,10 +16,12 @@ import (
 
 // runPlatformReplay replays every per-GPU recording of a platform bundle,
 // each on its own simulated GPU, hosted as processes of one discrete-event
-// engine. Each recording is verified under its bundled key before a single
-// event replays; the parallel engine replays same-timestamp work on all host
-// cores with results identical to the serial engine.
-func runPlatformReplay(entries []platform.Entry, sku *gpurelay.SKU, engine string, runs int) {
+// engine. Each recording is verified and audited under its bundled key
+// before its pool is sized or a single event replays; a bad entry is
+// rejected like the single-recording path. The parallel engine replays
+// same-timestamp work on all host cores with results identical to the
+// serial engine.
+func runPlatformReplay(file string, entries []platform.Entry, sku *gpurelay.SKU, engine string, runs int) {
 	var eng timesim.Engine
 	if engine == "parallel" {
 		eng = timesim.NewParallelEngine()
@@ -32,23 +34,20 @@ func runPlatformReplay(entries []platform.Entry, sku *gpurelay.SKU, engine strin
 		events int
 	}
 	results := make([]gpuReplay, len(entries))
-	for i := range entries {
-		i := i
-		e := entries[i]
+	for i, e := range entries {
 		signed := &trace.Signed{Payload: e.Payload}
 		if len(e.MAC) != len(signed.MAC) {
-			log.Fatalf("gpu %d: recording MAC is %d bytes, want %d", i, len(e.MAC), len(signed.MAC))
+			reject(file, "ingest", e.Payload, fmt.Errorf("gpu %d: recording MAC is %d bytes, want %d: %w",
+				i, len(e.MAC), len(signed.MAC), gpurelay.ErrBadRecording))
 		}
 		copy(signed.MAC[:], e.MAC)
+		v, err := replay.Open(e.Key, signed)
+		if err != nil {
+			reject(file, "ingest", e.Payload, fmt.Errorf("gpu %d: %w", i, err))
+		}
 		eng.Go(uint64(i), func(tm timesim.Time) error {
-			rec, err := trace.Verify(signed, e.Key)
-			if err != nil {
-				return fmt.Errorf("gpu %d: %w", i, err)
-			}
-			pool := gpumem.NewPool(rec.PoolSize)
-			gpu := mali.New(sku, pool, tm, 99)
-			ctrl := tee.NewController(gpu)
-			rp, err := replay.New(signed, e.Key, gpu, ctrl, tm)
+			gpu := mali.New(sku, gpumem.NewPool(v.PoolSize()), tm, 99)
+			rp, err := v.Bind(gpu, tee.NewController(gpu), tm)
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}

@@ -96,16 +96,17 @@ func main() {
 	}
 	eng := timesim.NewParallelEngine()
 	for i, e := range back {
-		i, e := i, e
 		signed := &trace.Signed{Payload: e.Payload}
 		copy(signed.MAC[:], e.MAC)
+		// Verify and audit before sizing the pool: the header's PoolSize is
+		// attacker-chosen until the audit has bounded it.
+		v, err := replay.Open(e.Key, signed)
+		if err != nil {
+			log.Fatalf("gpu %d: %v", i, err)
+		}
 		eng.Go(uint64(i), func(tm timesim.Time) error {
-			rec, err := trace.Verify(signed, e.Key)
-			if err != nil {
-				return fmt.Errorf("gpu %d: %w", i, err)
-			}
-			gpu := mali.New(mali.G71MP8, gpumem.NewPool(rec.PoolSize), tm, 99)
-			rp, err := replay.New(signed, e.Key, gpu, tee.NewController(gpu), tm)
+			gpu := mali.New(mali.G71MP8, gpumem.NewPool(v.PoolSize()), tm, 99)
+			rp, err := v.Bind(gpu, tee.NewController(gpu), tm)
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}

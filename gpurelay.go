@@ -183,13 +183,6 @@ type MetricsSnapshot = obs.Snapshot
 // Service.FleetRegistry and ScopeOptions.Fleet).
 type MetricsRegistry = obs.Registry
 
-// MetricLabel selects one series of a labeled metric when reading a
-// MetricsSnapshot, e.g. Counter("grt_net_rtts_total", Label("mode", "blocking")).
-type MetricLabel = obs.Label
-
-// Label builds a MetricLabel.
-func Label(key, value string) MetricLabel { return obs.L(key, value) }
-
 // NewScope creates a telemetry scope for one session. Pass it via
 // RecordOptions.Obs or ReplaySession.Instrument; the session binds its
 // virtual clock to the scope when it starts.
@@ -207,10 +200,6 @@ type FlightEvent = obs.FlightEvent
 // FlightRecorder is a bounded, thread-safe ring of FlightEvents. A nil
 // *FlightRecorder is a true no-op, mirroring Scope's nil semantics.
 type FlightRecorder = obs.FlightRecorder
-
-// NewFlightRecorder creates a flight recorder retaining at most capacity
-// events (0 → 4096).
-func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
 
 // ReadFlight decodes a flight journal from its JSON Lines form.
 func ReadFlight(r io.Reader) ([]FlightEvent, error) { return obs.ReadFlightJSONL(r) }
@@ -279,19 +268,25 @@ func (r *Recording) Bundle() (payload, mac, key []byte) {
 // RecordingFromBundle reconstructs a Recording from Bundle output, verifying
 // the signature.
 func RecordingFromBundle(payload, mac, key []byte) (*Recording, error) {
+	s, err := signedFromBundle(payload, mac)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := trace.Verify(s, key)
+	if err != nil {
+		return nil, err
+	}
+	return newRecording(s, append([]byte(nil), key...), rec), nil
+}
+
+// signedFromBundle reassembles a signed payload from its bundled parts.
+func signedFromBundle(payload, mac []byte) (*trace.Signed, error) {
 	if len(mac) != 32 {
 		return nil, fmt.Errorf("gpurelay: MAC must be 32 bytes, got %d: %w", len(mac), ErrBadRecording)
 	}
 	s := &trace.Signed{Payload: payload}
 	copy(s.MAC[:], mac)
-	rec, err := trace.Verify(s, key)
-	if err != nil {
-		return nil, err
-	}
-	return &Recording{
-		signed: s, key: append([]byte(nil), key...),
-		Workload: rec.Workload, ProductID: rec.ProductID,
-	}, nil
+	return s, nil
 }
 
 // Audit re-verifies the recording and checks its structural invariants —
@@ -302,11 +297,8 @@ func RecordingFromBundle(payload, mac, key []byte) (*Recording, error) {
 // Replay sessions run the same audit; Audit lets tools (grtreplay -audit)
 // and ingestion pipelines reject early with ErrBadRecording.
 func (r *Recording) Audit() error {
-	rec, err := trace.Verify(r.signed, r.key)
-	if err != nil {
-		return err
-	}
-	return rec.Audit()
+	_, err := replay.Open(r.key, r.signed)
+	return err
 }
 
 // Client is a simulated mobile device: a GPU of some SKU behind a TrustZone
@@ -410,10 +402,6 @@ func (c *Client) UnsealRecording(workload string, blob []byte) (*Recording, erro
 	}
 	return RecordingFromBundle(payload, mac, key)
 }
-
-// Clock exposes the device's virtual clock (useful for measuring flows that
-// span record and replay).
-func (c *Client) Clock() *timesim.Clock { return c.clock }
 
 // Service is the cloud recording service: a bounded pool of single-tenant
 // recording VMs behind a FIFO admission queue, plus a store of speculation
@@ -732,22 +720,15 @@ func (s *Service) IngestRecording(payload, mac, key []byte) (*Recording, error) 
 }
 
 func (s *Service) ingest(payload, mac, key []byte) (*Recording, error) {
-	if len(mac) != 32 {
-		return nil, fmt.Errorf("gpurelay: MAC must be 32 bytes, got %d: %w", len(mac), ErrBadRecording)
-	}
-	signed := &trace.Signed{Payload: payload}
-	copy(signed.MAC[:], mac)
-	rec, err := trace.Verify(signed, key)
+	signed, err := signedFromBundle(payload, mac)
 	if err != nil {
 		return nil, err
 	}
-	if err := rec.Audit(); err != nil {
-		return nil, fmt.Errorf("gpurelay: %w", err)
+	v, err := replay.Open(key, signed)
+	if err != nil {
+		return nil, err
 	}
-	return &Recording{
-		signed: signed, key: append([]byte(nil), key...),
-		Workload: rec.Workload, ProductID: rec.ProductID,
-	}, nil
+	return newRecording(signed, append([]byte(nil), key...), v.Recording()), nil
 }
 
 // Quarantined returns the retained rejection entries, oldest first.
@@ -782,10 +763,6 @@ func (s *Service) FlightEvents() []FlightEvent { return s.flight.Events() }
 // WriteFlight writes the flight journal as JSON Lines — the format grtdiag
 // flight reads back.
 func (s *Service) WriteFlight(w io.Writer) error { return s.flight.WriteJSONL(w) }
-
-// DiagBundles returns the sealed diagnostic bundles captured so far, oldest
-// first.
-func (s *Service) DiagBundles() []SealedDiagBundle { return s.bundles.Entries() }
 
 // LastDiagBundle returns the most recent diagnostic bundle, if any was
 // captured.
@@ -922,62 +899,101 @@ func (c *Client) Record(svc *Service, model *Model, opts RecordOptions) (*Record
 // wraps the context's cause. Saturation past the admission queue fails fast
 // with ErrCapacity.
 func (c *Client) RecordContext(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*Recording, RecordStats, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := mali.Compatible(c.SKU)
+	res, key, err := c.record(ctx, svc, model, opts)
 	if err != nil {
 		return nil, RecordStats{}, err
+	}
+	return newRecording(res.Signed, key, res.Recording), res.Stats, nil
+}
+
+// record runs one single-attempt record session: admit and attest a VM,
+// draw the client's next seed, record under the VM's session key, and
+// release the VM. It returns the session key the recording is sealed with.
+func (c *Client) record(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*record.Result, []byte, error) {
+	vm, err := svc.admit(ctx, c, model, opts.Obs, c.currentSeed(), 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer svc.releaseVM(vm)
+	cfg := svc.recordConfig(c, model, opts)
+	cfg.SessionKey = append([]byte(nil), vm.SessionKey...)
+	cfg.ClientSeed = c.nextSeed()
+	res, err := record.RunContext(ctx, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.clock.Advance(res.Stats.RecordingDelay)
+	return res, cfg.SessionKey, nil
+}
+
+// admit runs the admission every record session shares: look up the
+// client's compatible GPU stack, draw the attestation nonce, attach the
+// session scope to the service's fleet registry and flight recorder, acquire
+// a VM on the model's cache key (honoring shed rejections), and attest it.
+// The client accepts only the measurement it expects for this image and
+// GPU; on a mismatch the VM is released and the error wraps ErrAttestation.
+// attempt labels the admission instant (0 for a session's first admission).
+func (s *Service) admit(ctx context.Context, c *Client, model *Model, scope *obs.Scope, jitterSeed uint64, attempt int) (*cloud.VM, error) {
+	compat, err := mali.Compatible(c.SKU)
+	if err != nil {
+		return nil, err
+	}
+	want, err := cloud.ExpectedMeasurement(s.image, compat)
+	if err != nil {
+		return nil, err
 	}
 	nonce := make([]byte, 16)
 	if _, err := rand.Read(nonce); err != nil {
-		return nil, RecordStats{}, err
+		return nil, err
 	}
-	opts.Obs.AttachFleet(svc.fleet)
-	opts.Obs.AttachFlight(svc.flight)
-	vm, err := svc.acquireVM(ctx, svc.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
+	scope.AttachFleet(s.fleet)
+	scope.AttachFlight(s.flight)
+	vm, err := s.acquireVMShedAware(ctx, c.clock, scope, jitterSeed,
+		s.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
 	if err != nil {
-		return nil, RecordStats{}, fmt.Errorf("gpurelay: launching recording VM: %w", err)
+		return nil, fmt.Errorf("gpurelay: launching recording VM: %w", err)
 	}
-	defer svc.releaseVM(vm)
-	// Admission and attestation happen before the session's virtual clock
-	// exists, so they land on the timeline as instants at t=0.
-	opts.Obs.Annotate("session.admitted", "session")
-	// Attestation: the client accepts only the measurement it expects for
-	// this image and GPU.
-	want, err := cloud.ExpectedMeasurement(svc.image, compat)
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
+	// A first admission happens before the session's virtual clock exists,
+	// so it lands on the timeline as an instant at t=0.
+	scope.Annotate("session.admitted", "session", obs.A("attempt", int64(attempt)))
 	if vm.Measurement != want {
-		return nil, RecordStats{}, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
-			svc.image.Name, compat, ErrAttestation)
+		s.releaseVM(vm)
+		return nil, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
+			s.image.Name, compat, ErrAttestation)
 	}
-	opts.Obs.Annotate("session.attested", "session")
-	key := append([]byte(nil), vm.SessionKey...)
+	scope.Annotate("session.attested", "session")
+	return vm, nil
+}
 
+// recordConfig builds the record configuration every entry point shares:
+// the WiFi default, the service's shared speculation history unless the
+// caller threads one, and the misprediction-injection mapping (zero
+// disables). Callers fill in the session key and client seed.
+func (s *Service) recordConfig(c *Client, model *Model, opts RecordOptions) record.Config {
+	if opts.Network.Name == "" {
+		opts.Network = WiFi
+	}
 	hist := opts.History
 	if hist == nil {
-		hist = svc.SharedHistory(c.SKU, model)
+		hist = s.SharedHistory(c.SKU, model)
 	}
 	inject := -1
 	if opts.InjectMispredictionAt > 0 {
 		inject = opts.InjectMispredictionAt
 	}
-	res, err := record.RunContext(ctx, record.Config{
+	return record.Config{
 		Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-		SessionKey: key, History: hist,
-		ClientSeed: c.nextSeed(), InjectMispredictionAt: inject,
-		Obs: opts.Obs,
-	})
-	if err != nil {
-		return nil, RecordStats{}, err
+		History: hist, InjectMispredictionAt: inject, Obs: opts.Obs,
 	}
-	c.clock.Advance(res.Stats.RecordingDelay)
+}
+
+// newRecording wraps a verified recording's signed payload and session key
+// in the client-facing Recording.
+func newRecording(signed *trace.Signed, key []byte, rec *trace.Recording) *Recording {
 	return &Recording{
-		signed: res.Signed, key: key,
-		Workload: res.Recording.Workload, ProductID: res.Recording.ProductID,
-	}, res.Stats, nil
+		signed: signed, key: key,
+		Workload: rec.Workload, ProductID: rec.ProductID,
+	}
 }
 
 // CacheOutcome reports how a cache-first record request was served.
@@ -1051,48 +1067,20 @@ func (c *Client) RecordCachedContext(ctx context.Context, svc *Service, model *M
 // session ran) does not fail the request — the fresh recording still serves
 // this leader and its followers; it just is not cached.
 func (s *Service) recordForCache(ctx context.Context, c *Client, ck castore.Key, model *Model, opts RecordOptions) (*castore.Entry, *record.Result, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := mali.Compatible(c.SKU)
-	if err != nil {
-		return nil, nil, err
-	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, err
-	}
-	opts.Obs.AttachFleet(s.fleet)
-	opts.Obs.AttachFlight(s.flight)
 	kh := ck.Hash()
-	vm, err := s.acquireVMShedAware(ctx, c.clock, opts.Obs,
-		binary.LittleEndian.Uint64(kh[:8]), kh, c.ID, compat, nonce)
+	vm, err := s.admit(ctx, c, model, opts.Obs, binary.LittleEndian.Uint64(kh[:8]), 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gpurelay: launching recording VM: %w", err)
+		return nil, nil, err
 	}
 	defer s.releaseVM(vm)
-	want, err := cloud.ExpectedMeasurement(s.image, compat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if vm.Measurement != want {
-		return nil, nil, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
-			s.image.Name, compat, ErrAttestation)
-	}
-
-	hist := opts.History
-	if hist == nil {
-		hist = s.SharedHistory(c.SKU, model)
-	}
-	res, err := record.RunContext(ctx, record.Config{
-		Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-		// Cache-derived key and seed, NOT the VM's attestation key or the
-		// client's seed: the artifact must not depend on who led.
-		SessionKey: s.cacheSessionKey(kh),
-		ClientSeed: s.cacheClientSeed(kh),
-		History:    hist, InjectMispredictionAt: -1,
-		Obs: opts.Obs,
-	})
+	cfg := s.recordConfig(c, model, opts)
+	// Cache-derived key and seed, NOT the VM's attestation key or the
+	// client's seed, and no injected misprediction: the artifact must depend
+	// on the cache key alone, not on who led.
+	cfg.SessionKey = s.cacheSessionKey(kh)
+	cfg.ClientSeed = s.cacheClientSeed(kh)
+	cfg.InjectMispredictionAt = -1
+	res, err := record.RunContext(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1101,13 +1089,10 @@ func (s *Service) recordForCache(ctx context.Context, c *Client, ck castore.Key,
 		Key:        ck,
 		Payload:    res.Signed.Payload,
 		MAC:        res.Signed.MAC,
-		SessionKey: s.cacheSessionKey(kh),
+		SessionKey: cfg.SessionKey,
 		ProductID:  res.Recording.ProductID,
 	}
-	if perr := s.cache.Put(e); perr != nil {
-		// Served, not cached. The store already counted the reject.
-		return e, res, nil
-	}
+	_ = s.cache.Put(e) // refused: served, not cached; the store counted the reject
 	return e, res, nil
 }
 
@@ -1174,40 +1159,10 @@ func (c *Client) RecordSegmented(svc *Service, model *Model, opts RecordOptions)
 // RecordSegmentedContext is RecordSegmented with the same admission control
 // and cancellation semantics as RecordContext.
 func (c *Client) RecordSegmentedContext(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*SegmentedRecording, RecordStats, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := mali.Compatible(c.SKU)
+	res, key, err := c.record(ctx, svc, model, opts)
 	if err != nil {
 		return nil, RecordStats{}, err
 	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, RecordStats{}, err
-	}
-	vm, err := svc.acquireVM(ctx, svc.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
-	if err != nil {
-		return nil, RecordStats{}, fmt.Errorf("gpurelay: launching recording VM: %w", err)
-	}
-	defer svc.releaseVM(vm)
-	key := append([]byte(nil), vm.SessionKey...)
-
-	hist := opts.History
-	if hist == nil {
-		hist = svc.SharedHistory(c.SKU, model)
-	}
-	opts.Obs.AttachFleet(svc.fleet)
-	opts.Obs.AttachFlight(svc.flight)
-	res, err := record.RunContext(ctx, record.Config{
-		Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-		SessionKey: key, History: hist,
-		ClientSeed: c.nextSeed(), InjectMispredictionAt: -1,
-		Obs: opts.Obs,
-	})
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	c.clock.Advance(res.Stats.RecordingDelay)
 	signeds, _, err := res.Segments(model.LayerBoundaries())
 	if err != nil {
 		return nil, RecordStats{}, err
@@ -1224,23 +1179,7 @@ func (c *Client) NewChainedReplaySession(rec *SegmentedRecording) (*ReplaySessio
 	if rec == nil || len(rec.segs) == 0 {
 		return nil, fmt.Errorf("gpurelay: empty segmented recording")
 	}
-	first, err := trace.Verify(rec.segs[0], rec.key)
-	if err != nil {
-		return nil, err
-	}
-	// Audit before sizing the pool: PoolSize is attacker-chosen until the
-	// structural audit (which bounds it) has passed.
-	if err := first.Audit(); err != nil {
-		return nil, fmt.Errorf("gpurelay: %w", err)
-	}
-	pool := gpumem.NewPool(first.PoolSize)
-	gpu := mali.New(c.SKU, pool, c.clock, c.currentSeed()^0xC0DEC0DE)
-	ctrl := tee.NewController(gpu)
-	rp, err := replay.NewChained(rec.segs, rec.key, gpu, ctrl, c.clock)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplaySession{client: c, rp: rp, gpu: gpu}, nil
+	return c.openReplay(context.Background(), rec.key, rec.segs...)
 }
 
 // ReplayResult reports one replay run.
@@ -1268,26 +1207,25 @@ func (c *Client) NewReplaySessionContext(ctx context.Context, rec *Recording) (*
 	if rec == nil || rec.signed == nil {
 		return nil, fmt.Errorf("gpurelay: nil recording")
 	}
+	return c.openReplay(ctx, rec.key, rec.signed)
+}
+
+// openReplay verifies and audits the signed segments once, reserves secure
+// memory sized to the audited footprint, and binds the replayer to a fresh
+// device of the client's SKU.
+func (c *Client) openReplay(ctx context.Context, key []byte, segs ...*trace.Signed) (*ReplaySession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gpurelay: replay session setup: %w", err)
 	}
-	// Peek at the pool size requirement (the payload is verified again by
-	// replay.New). Audit before sizing the pool: PoolSize is
-	// attacker-chosen until the structural audit (which bounds it) passes.
-	peek, err := trace.Verify(rec.signed, rec.key)
+	v, err := replay.Open(key, segs...)
 	if err != nil {
 		return nil, err
 	}
-	if err := peek.Audit(); err != nil {
-		return nil, fmt.Errorf("gpurelay: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gpurelay: replay session setup: %w", err)
 	}
-	pool := gpumem.NewPool(peek.PoolSize)
-	gpu := mali.New(c.SKU, pool, c.clock, c.currentSeed()^0xBADC0FFEE)
-	ctrl := tee.NewController(gpu)
-	rp, err := replay.New(rec.signed, rec.key, gpu, ctrl, c.clock)
+	gpu := mali.New(c.SKU, gpumem.NewPool(v.PoolSize()), c.clock, c.currentSeed()^0xBADC0FFEE)
+	rp, err := v.Bind(gpu, tee.NewController(gpu), c.clock)
 	if err != nil {
 		return nil, err
 	}

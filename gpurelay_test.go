@@ -1,6 +1,9 @@
 package gpurelay
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -201,5 +204,51 @@ func TestSealUnsealRecording(t *testing.T) {
 	other := NewClient("other-phone", MaliG71MP8)
 	if _, err := other.UnsealRecording("MNIST", blob); err == nil {
 		t.Fatal("sealed blob unsealed on another device")
+	}
+}
+
+// TestAttestationRejectsUnexpectedImage boots a cloud image other than the
+// one the client expects (the service's image copy carries a changed Stack,
+// so the expected measurement no longer matches the booted VM's). Every
+// record entry point must refuse the VM with ErrAttestation and release it,
+// on an unsharded and a sharded service alike.
+func TestAttestationRejectsUnexpectedImage(t *testing.T) {
+	entryPoints := []struct {
+		name   string
+		record func(*Client, *Service) error
+	}{
+		{"Record", func(c *Client, svc *Service) error {
+			_, _, err := c.Record(svc, MNIST(), RecordOptions{})
+			return err
+		}},
+		{"RecordSegmented", func(c *Client, svc *Service) error {
+			_, _, err := c.RecordSegmented(svc, MNIST(), RecordOptions{})
+			return err
+		}},
+		{"RecordCached", func(c *Client, svc *Service) error {
+			_, _, _, err := c.RecordCached(svc, MNIST(), RecordOptions{})
+			return err
+		}},
+		{"RecordResumable", func(c *Client, svc *Service) error {
+			_, _, err := c.RecordResumable(context.Background(), svc, MNIST(), ResilienceOptions{})
+			return err
+		}},
+	}
+	for _, shards := range []int{1, 2} {
+		for _, ep := range entryPoints {
+			t.Run(fmt.Sprintf("%s/shards=%d", ep.name, shards), func(t *testing.T) {
+				svc := NewServiceWith(ServiceConfig{Shards: shards})
+				img := *svc.image
+				img.Stack += "+unexpected"
+				svc.image = &img
+				err := ep.record(NewClient("attest", MaliG71MP8), svc)
+				if !errors.Is(err, ErrAttestation) {
+					t.Fatalf("err %v, want ErrAttestation", err)
+				}
+				if n := svc.ActiveVMs(); n != 0 {
+					t.Fatalf("%d VMs left active after the attestation failure", n)
+				}
+			})
+		}
 	}
 }

@@ -620,7 +620,7 @@ func (g *GPU) runJobChain(slot int) {
 	s := &g.slots[slot]
 	as := int(s.config & JSConfigASMask)
 	if as >= len(g.spaces) {
-		g.failJob(slot, JSStatusJobConfigFault, 0)
+		g.failJob(slot, JSStatusJobConfigFault)
 		return
 	}
 	s.status = JSStatusActive
@@ -630,24 +630,24 @@ func (g *GPU) runJobChain(slot int) {
 	va := gpumem.VA(s.head)
 	for hops := 0; va != 0; hops++ {
 		if hops > 4096 {
-			g.failJob(slot, JSStatusJobConfigFault, uint64(va))
+			g.failJob(slot, JSStatusJobConfigFault)
 			return
 		}
 		desc, err := mem.ReadBytes(va, JobDescSize, gpumem.PTERead)
 		if err != nil {
-			g.failJobFault(slot, as, err, uint64(va))
+			g.failJobFault(slot, as, err)
 			return
 		}
 		magic := le32(desc[0:])
 		if magic != JobDescMagic {
-			g.failJob(slot, JSStatusJobReadFault, uint64(va))
+			g.failJob(slot, JSStatusJobReadFault)
 			return
 		}
 		shaderVA := gpumem.VA(le64(desc[8:]))
 		nextVA := gpumem.VA(le64(desc[16:]))
 		res, err := isa.Execute(mem, shaderVA, g.sku.ProductID)
 		if err != nil {
-			g.failJobFault(slot, as, err, uint64(shaderVA))
+			g.failJobFault(slot, as, err)
 			return
 		}
 		totalFLOPs += res.FLOPs
@@ -698,7 +698,7 @@ func (g *GPU) completeChain(slot int, duration time.Duration, flops int64) {
 	}
 }
 
-func (g *GPU) failJob(slot int, status uint32, addr uint64) {
+func (g *GPU) failJob(slot int, status uint32) {
 	s := &g.slots[slot]
 	s.status = status
 	s.head = 0
@@ -718,17 +718,16 @@ func (g *GPU) failJob(slot int, status uint32, addr uint64) {
 			return nil
 		})
 	}
-	_ = addr
 }
 
-func (g *GPU) failJobFault(slot, as int, err error, addr uint64) {
+func (g *GPU) failJobFault(slot, as int, err error) {
 	if f, ok := err.(*isa.Fault); ok {
 		a := &g.spaces[as]
 		a.faultStatus = JSStatusTranslationFault
 		a.faultAddr = uint64(f.VA)
 		g.mmuIRQRaw |= 1 << uint(as)
 	}
-	g.failJob(slot, JSStatusTranslationFault, addr)
+	g.failJob(slot, JSStatusTranslationFault)
 }
 
 func le32(b []byte) uint32 {

@@ -95,13 +95,9 @@ func (b *builder) conv(name string, outC, k, stride, pad uint32, o convOpts) {
 	bias := b.buf(name+".b", gpumem.KindWeights, uint64(outC))
 
 	dst := o.intoBuf
-	dstTotalC := outC
 	if dst == NoBuf {
 		dst = b.scratch(uint64(outC) * uint64(oh) * uint64(ow))
-	} else {
-		dstTotalC = uint32(b.m.Buffers[dst].Elems / (uint64(oh) * uint64(ow)))
 	}
-	_ = dstTotalC
 
 	b.prepare(name+".reshape", w)
 	if pad > 0 && !o.noBorder {

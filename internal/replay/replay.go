@@ -119,34 +119,82 @@ type Replayer struct {
 	Obs *obs.Scope
 }
 
-// New verifies a signed recording against the session key, audits its
-// structure, and binds it to the local GPU. It refuses recordings for a
-// different GPU SKU — the early-binding property of §2.4 — and recordings
-// whose structure the recorded driver stack could not have produced, even
-// when correctly sealed (the MAC authenticates the recorder, not the
-// recording).
-func New(signed *trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
-	rec, err := trace.Verify(signed, key)
-	if err != nil {
-		return nil, err
+// Verified is a recording that passed signature verification and the
+// structural audit. It is the only source of a pool size a caller may size
+// secure memory from: until the audit (which bounds PoolSize) has passed,
+// the header is attacker-chosen.
+type Verified struct {
+	rec *trace.Recording
+}
+
+// Open verifies each signed segment against the session key and audits its
+// structure, exactly once, refusing recordings whose structure the recorded
+// driver stack could not have produced even when correctly sealed (the MAC
+// authenticates the recorder, not the recording). Several segments
+// (per-layer recordings, Figure 2 of the paper) merge into one chain that
+// replays back-to-back: all must target the same GPU product and share the
+// region map, and intermediate activations persist in shared memory across
+// segment boundaries, exactly as on one device.
+func Open(key []byte, segs ...*trace.Signed) (*Verified, error) {
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("replay: empty segment chain")
 	}
-	if err := rec.Audit(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	var merged *trace.Recording
+	for i, s := range segs {
+		rec, err := trace.Verify(s, key)
+		if err == nil {
+			err = rec.Audit()
+		}
+		switch {
+		case err != nil && len(segs) == 1:
+			return nil, fmt.Errorf("replay: %w", err)
+		case err != nil:
+			return nil, fmt.Errorf("replay: segment %d: %w", i, err)
+		case merged == nil:
+			merged = rec
+		case rec.ProductID != merged.ProductID:
+			return nil, fmt.Errorf("replay: segment %d targets product %#x, chain is %#x: %w",
+				i, rec.ProductID, merged.ProductID, grterr.ErrSKUMismatch)
+		default:
+			merged.Events = append(merged.Events, rec.Events...)
+		}
 	}
-	if rec.ProductID != gpu.SKU().ProductID {
+	return &Verified{rec: merged}, nil
+}
+
+// PoolSize is the secure-memory footprint the audited recording needs.
+func (v *Verified) PoolSize() uint64 { return v.rec.PoolSize }
+
+// Recording exposes the verified recording.
+func (v *Verified) Recording() *trace.Recording { return v.rec }
+
+// Bind binds the verified recording to the local GPU. It refuses a device of
+// a different GPU SKU — the early-binding property of §2.4 — and one whose
+// pool is smaller than the recording needs.
+func (v *Verified) Bind(gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
+	if v.rec.ProductID != gpu.SKU().ProductID {
 		return nil, fmt.Errorf("replay: recording is for GPU product %#x, this device is %#x: %w",
-			rec.ProductID, gpu.SKU().ProductID, grterr.ErrSKUMismatch)
+			v.rec.ProductID, gpu.SKU().ProductID, grterr.ErrSKUMismatch)
 	}
-	if gpu.Pool().Size() < rec.PoolSize {
+	if gpu.Pool().Size() < v.rec.PoolSize {
 		return nil, fmt.Errorf("replay: recording needs %d MB of secure memory, have %d MB",
-			rec.PoolSize>>20, gpu.Pool().Size()>>20)
+			v.rec.PoolSize>>20, gpu.Pool().Size()>>20)
 	}
 	return &Replayer{
-		rec: rec, gpu: gpu, ctrl: ctrl, clock: clock,
-		lim:    poolLimits(rec.PoolSize),
+		rec: v.rec, gpu: gpu, ctrl: ctrl, clock: clock,
+		lim:    poolLimits(v.rec.PoolSize),
 		inject: map[string][]byte{},
 		Strict: true,
 	}, nil
+}
+
+// New opens one signed recording and binds it to the local GPU.
+func New(signed *trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
+	v, err := Open(key, signed)
+	if err != nil {
+		return nil, err
+	}
+	return v.Bind(gpu, ctrl, clock)
 }
 
 // poolLimits tightens the default decode limits with what the replayer
@@ -158,53 +206,6 @@ func poolLimits(poolSize uint64) wire.DecodeLimits {
 		lim.MaxDumpBytes = int64(poolSize)
 	}
 	return lim
-}
-
-// NewChained builds a replayer from a sequence of independently signed
-// recording segments (per-layer recordings, Figure 2 of the paper). Each
-// segment is verified on its own; all must target the same GPU product and
-// share the region map. The segments replay back-to-back: intermediate
-// activations persist in shared memory across segment boundaries, exactly as
-// on one device.
-func NewChained(segs []*trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("replay: empty segment chain")
-	}
-	var merged *trace.Recording
-	for i, s := range segs {
-		rec, err := trace.Verify(s, key)
-		if err != nil {
-			return nil, fmt.Errorf("replay: segment %d: %w", i, err)
-		}
-		if err := rec.Audit(); err != nil {
-			return nil, fmt.Errorf("replay: segment %d: %w", i, err)
-		}
-		if merged == nil {
-			merged = &trace.Recording{
-				Workload:  rec.Workload,
-				ProductID: rec.ProductID,
-				PoolSize:  rec.PoolSize,
-				Regions:   rec.Regions,
-			}
-		} else if rec.ProductID != merged.ProductID {
-			return nil, fmt.Errorf("replay: segment %d targets product %#x, chain is %#x: %w",
-				i, rec.ProductID, merged.ProductID, grterr.ErrSKUMismatch)
-		}
-		merged.Events = append(merged.Events, rec.Events...)
-	}
-	if merged.ProductID != gpu.SKU().ProductID {
-		return nil, fmt.Errorf("replay: chain is for GPU product %#x, this device is %#x: %w",
-			merged.ProductID, gpu.SKU().ProductID, grterr.ErrSKUMismatch)
-	}
-	if gpu.Pool().Size() < merged.PoolSize {
-		return nil, fmt.Errorf("replay: chain needs %d MB of secure memory", merged.PoolSize>>20)
-	}
-	return &Replayer{
-		rec: merged, gpu: gpu, ctrl: ctrl, clock: clock,
-		lim:    poolLimits(merged.PoolSize),
-		inject: map[string][]byte{},
-		Strict: true,
-	}, nil
 }
 
 // Recording exposes the verified recording.

@@ -605,11 +605,6 @@ func (s *DriverShim) logOps(ops []RegOp, results []OpResult) {
 			s.log = append(s.log, trace.Event{Kind: trace.KWrite, Fn: op.Fn,
 				Reg: op.Reg, Value: results[i].Value})
 		case OpPoll:
-			timedOut := uint32(0)
-			if results[i].TimedOut {
-				timedOut = 1
-			}
-			_ = timedOut
 			s.log = append(s.log, trace.Event{Kind: trace.KPoll, Fn: op.Fn,
 				Reg: op.Reg, Value: results[i].Value,
 				DoneMask: op.DoneMask, DoneVal: op.DoneVal,

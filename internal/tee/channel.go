@@ -22,17 +22,11 @@ type SecureChannel struct {
 
 // NewSecureChannel builds one endpoint of a channel over a 32-byte session
 // key. Both endpoints derive from the same key; direction is disambiguated
-// by the role label mixed into the nonce.
-func NewSecureChannel(key []byte, initiator bool) (*SecureChannel, error) {
+// by the fromInitiator flag nonceFor mixes into the nonce.
+func NewSecureChannel(key []byte) (*SecureChannel, error) {
 	if len(key) != 32 {
 		return nil, fmt.Errorf("tee: session key must be 32 bytes, got %d", len(key))
 	}
-	// Derive a directional key so the two flows cannot be cross-replayed.
-	label := byte(0)
-	if initiator {
-		label = 1
-	}
-	_ = label
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err

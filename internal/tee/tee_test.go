@@ -77,11 +77,11 @@ func sessionKeyPair(t *testing.T) (*SecureChannel, *SecureChannel) {
 	rand.Read(cn)
 	rand.Read(sn)
 	key := DeriveSessionKey(m, cn, sn)
-	a, err := NewSecureChannel(key, true)
+	a, err := NewSecureChannel(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSecureChannel(key, false)
+	b, err := NewSecureChannel(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSecureChannelWrongKey(t *testing.T) {
 }
 
 func TestSecureChannelKeyLength(t *testing.T) {
-	if _, err := NewSecureChannel([]byte("short"), true); err == nil {
+	if _, err := NewSecureChannel([]byte("short")); err == nil {
 		t.Fatal("short key accepted")
 	}
 }

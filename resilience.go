@@ -11,7 +11,6 @@ package gpurelay
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"gpurelay/internal/cloud"
 	"gpurelay/internal/faultsim"
 	"gpurelay/internal/grterr"
-	"gpurelay/internal/mali"
 	"gpurelay/internal/obs"
 	"gpurelay/internal/record"
 	"gpurelay/internal/trace"
@@ -80,9 +78,6 @@ type Checkpoint struct {
 
 // SessionID identifies the logical record session the checkpoint belongs to.
 func (c *Checkpoint) SessionID() string { return c.cp.SessionID }
-
-// Workload names the checkpointed model.
-func (c *Checkpoint) Workload() string { return c.cp.Workload }
 
 // Job is the 0-based index of the last fully completed job.
 func (c *Checkpoint) Job() int { return c.cp.Job }
@@ -184,19 +179,6 @@ const (
 // returns an error naming the session and its last checkpointed job (still
 // wrapping ErrSessionLost) so a later call can resume it.
 func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model, opts ResilienceOptions) (*Recording, RecordStats, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := mali.Compatible(c.SKU)
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	want, err := cloud.ExpectedMeasurement(svc.image, compat)
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	opts.Obs.AttachFleet(svc.fleet)
-	opts.Obs.AttachFlight(svc.flight)
 	// Checkpoint and resume telemetry routes through the session scope when
 	// one is carried (it double-writes into the fleet registry), so a
 	// session's own snapshot tells its full resilience story; an
@@ -271,34 +253,16 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		jrng = 1
 	}
 
-	hist := opts.History
-	if hist == nil {
-		hist = svc.SharedHistory(c.SKU, model)
-	}
-	inject := -1
-	if opts.InjectMispredictionAt > 0 {
-		inject = opts.InjectMispredictionAt
-	}
-
+	base := svc.recordConfig(c, model, opts.RecordOptions)
+	base.ClientSeed, base.SessionID, base.Faults = seed, sessionID, faults
+	base.CkptMode, base.CkptCadence = opts.CkptMode, opts.CkptCadence
 	books := cloud.DeviceBooks{Flight: svc.flight, Session: sessionID}
 
 	for attempt := 0; ; attempt++ {
-		nonce := make([]byte, 16)
-		if _, err := rand.Read(nonce); err != nil {
+		vm, err := svc.admit(ctx, c, model, opts.Obs, seed, attempt)
+		if err != nil {
 			return nil, RecordStats{}, err
 		}
-		vm, err := svc.acquireVMShedAware(ctx, c.clock, opts.Obs, seed,
-			svc.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
-		if err != nil {
-			return nil, RecordStats{}, fmt.Errorf("gpurelay: launching recording VM: %w", err)
-		}
-		opts.Obs.Annotate("session.admitted", "session", obs.A("attempt", int64(attempt)))
-		if vm.Measurement != want {
-			svc.releaseVM(vm)
-			return nil, RecordStats{}, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
-				svc.image.Name, compat, ErrAttestation)
-		}
-		opts.Obs.Annotate("session.attested", "session")
 		// A cross-VM migration lands on different silicon by construction:
 		// degraded and dead devices are never offered to new sessions
 		// (cloud.assignDevice).
@@ -365,15 +329,9 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			}
 		}
 
-		res, err := record.RunContext(ctx, record.Config{
-			Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-			SessionKey: key, History: hist,
-			ClientSeed: seed, InjectMispredictionAt: inject,
-			Obs:       opts.Obs,
-			SessionID: sessionID, Faults: faults,
-			Resume: last, OnCheckpoint: onCkpt,
-			CkptMode: opts.CkptMode, CkptCadence: opts.CkptCadence, OnEpoch: onEpoch,
-		})
+		cfg := base
+		cfg.SessionKey, cfg.Resume, cfg.OnCheckpoint, cfg.OnEpoch = key, last, onCkpt, onEpoch
+		res, err := record.RunContext(ctx, cfg)
 		if err == nil {
 			books.Book(vm.Device, faults)
 			svc.releaseVM(vm)
@@ -386,10 +344,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 				svc.fleet.Add(obs.MCkptEpochs, int64(res.Stats.CkptEpochs))
 				svc.fleet.Add(obs.MCkptEpochConflicts, int64(res.Stats.CkptConflicts))
 			}
-			return &Recording{
-				signed: res.Signed, key: key,
-				Workload: res.Recording.Workload, ProductID: res.Recording.ProductID,
-			}, res.Stats, nil
+			return newRecording(res.Signed, key, res.Recording), res.Stats, nil
 		}
 		if !errors.Is(err, grterr.ErrSessionLost) {
 			svc.releaseVM(vm)
