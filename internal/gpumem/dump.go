@@ -246,11 +246,13 @@ func (s *Snapshot) putHeader(out []byte, flags uint8) int {
 // MemSync traffic Table 1 accounts.
 //
 // The encoder works region-at-a-time without ever materializing the
-// concatenated payload: delta XOR runs across regions on a bounded worker
-// pool into per-region buffers, regions whose buffers alias the delta base
-// (clean regions under CaptureState) become logical zero runs outright, and
-// the compressor consumes the chunk list in region order — so the wire bytes
-// are identical to serially encoding the concatenation.
+// concatenated payload or a delta: regions whose buffers alias the delta
+// base (clean regions under CaptureState) become logical zero runs
+// outright, other delta regions become XOR chunks whose XOR is computed
+// where it is consumed — by the zero-RLE scan when compressing, straight
+// into the output on a bounded worker pool when not — and chunks are
+// consumed in region order, so the wire bytes are identical to serially
+// encoding the concatenation.
 func (s *Snapshot) Encode(prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 	flags := uint8(0)
 	if opts.Delta {
@@ -274,27 +276,16 @@ func (s *Snapshot) Encode(prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 	}
 
 	chunks := make([]chunk, len(s.Regions))
-	var owned []int // chunk indexes whose buffers must be recycled
-	if opts.Delta && prev != nil {
-		var work int64
-		for i := range s.Regions {
-			r, p := &s.Regions[i], &prev.Regions[i]
-			if sameBuffer(r.Data, p.Data) || len(r.Data) == 0 {
-				// Clean region: XOR against itself is all zeros. O(1).
-				chunks[i] = zeroChunk(len(r.Data))
-				continue
-			}
-			chunks[i] = dataChunk(getBuf(len(r.Data)))
-			owned = append(owned, i)
-			work += int64(len(r.Data))
-		}
-		parallelFor(len(owned), work, func(k int) {
-			i := owned[k]
-			xorInto(chunks[i].data, s.Regions[i].Data, prev.Regions[i].Data)
-		})
-	} else {
-		for i := range s.Regions {
-			chunks[i] = dataChunk(s.Regions[i].Data)
+	for i := range s.Regions {
+		r := &s.Regions[i]
+		switch {
+		case !opts.Delta || prev == nil:
+			chunks[i] = dataChunk(r.Data)
+		case sameBuffer(r.Data, prev.Regions[i].Data) || len(r.Data) == 0:
+			// Clean region: XOR against itself is all zeros. O(1).
+			chunks[i] = zeroChunk(len(r.Data))
+		default:
+			chunks[i] = xorChunk(r.Data, prev.Regions[i].Data)
 		}
 	}
 
@@ -318,13 +309,15 @@ func (s *Snapshot) Encode(prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 			off += chunks[i].n
 		}
 		parallelFor(len(chunks), int64(total), func(i int) {
-			if !chunks[i].isZeroRun() { // zero runs: out is freshly zeroed
-				copy(out[offs[i]:], chunks[i].data)
+			c := &chunks[i]
+			switch {
+			case c.isZeroRun(): // out is freshly zeroed
+			case c.base != nil:
+				xorInto(out[offs[i]:offs[i]+c.n], c.data, c.base)
+			default:
+				copy(out[offs[i]:], c.data)
 			}
 		})
-	}
-	for _, i := range owned {
-		putBuf(chunks[i].data)
 	}
 	return out, nil
 }
@@ -411,7 +404,8 @@ func WireInfo(data []byte) ([]WireRegion, error) {
 // Decode reconstructs a snapshot from wire bytes under the default decode
 // limits. prev must be the same previous snapshot the encoder used when the
 // stream is delta-encoded. Compressed payloads are expanded directly into
-// the per-region buffers and delta streams are un-XORed in parallel; the
+// the per-region buffers, applying the delta base in the same pass;
+// uncompressed ones are copied or un-XORed per region in parallel. The
 // concatenated body is never materialized.
 func Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
 	return DecodeLimited(data, prev, wire.DefaultLimits())
@@ -463,7 +457,14 @@ func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapsho
 		for i := range s.Regions {
 			dsts[i] = s.Regions[i].Data
 		}
-		if err := rangeDecodeChunks(body, dsts); err != nil {
+		var bases [][]byte
+		if delta {
+			bases = make([][]byte, len(prev.Regions))
+			for i := range prev.Regions {
+				bases[i] = prev.Regions[i].Data
+			}
+		}
+		if err := rangeDecodeChunks(body, dsts, bases); err != nil {
 			return nil, err
 		}
 	} else {
@@ -474,12 +475,13 @@ func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapsho
 			o += len(s.Regions[i].Data)
 		}
 		parallelFor(len(s.Regions), int64(total), func(i int) {
-			copy(s.Regions[i].Data, body[offs[i]:])
-		})
-	}
-	if delta {
-		parallelFor(len(s.Regions), int64(total), func(i int) {
-			xorWith(s.Regions[i].Data, prev.Regions[i].Data)
+			dst := s.Regions[i].Data
+			src := body[offs[i] : offs[i]+len(dst)]
+			if delta {
+				xorInto(dst, src, prev.Regions[i].Data)
+			} else {
+				copy(dst, src)
+			}
 		})
 	}
 	return s, nil
@@ -497,9 +499,4 @@ func xorInto(dst, a, b []byte) {
 	for ; i < n; i++ {
 		dst[i] = a[i] ^ b[i]
 	}
-}
-
-// xorWith XORs b into dst in place, word-wise.
-func xorWith(dst, b []byte) {
-	xorInto(dst, dst, b)
 }

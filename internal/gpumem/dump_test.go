@@ -217,3 +217,39 @@ func TestMetaOnlyTrafficAdvantage(t *testing.T) {
 		t.Fatalf("meta-only sync %d not <25%% of naive %d", len(metaWire), len(naiveWire))
 	}
 }
+
+// Every encoding decodes back to the exact snapshot contents, even into
+// recycled buffers that still hold another snapshot's bytes.
+func TestSnapshotRoundTripEveryEncoding(t *testing.T) {
+	fp := buildFootprint(t, MNISTFootprint)
+	prev := Capture(fp.Pool, fp.Regions, nil)
+	fp.DirtySome(1)
+	cur := Capture(fp.Pool, fp.Regions, nil)
+	for _, opts := range []EncodeOptions{{}, {Compress: true}, {Delta: true}, {Delta: true, Compress: true}} {
+		base := prev
+		if !opts.Delta {
+			base = nil
+		}
+		wire, err := cur.Encode(base, opts)
+		if err != nil {
+			t.Fatalf("%+v: encode: %v", opts, err)
+		}
+		garbage := cur.Clone()
+		for i := range garbage.Regions {
+			for j := range garbage.Regions[i].Data {
+				garbage.Regions[i].Data[j] = 0xA5
+			}
+		}
+		garbage.Release()
+		dec, err := Decode(wire, base)
+		if err != nil {
+			t.Fatalf("%+v: decode: %v", opts, err)
+		}
+		for i := range dec.Regions {
+			if !bytes.Equal(dec.Regions[i].Data, cur.Regions[i].Data) {
+				t.Fatalf("%+v: region %q decoded wrong", opts, dec.Regions[i].Name)
+			}
+		}
+		dec.Release()
+	}
+}

@@ -1,7 +1,9 @@
 package gpumem
 
 import (
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"gpurelay/internal/fuzzcorpus"
 	"gpurelay/internal/wire"
@@ -46,7 +48,20 @@ func snapFuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{raw, comp, delta, raw[:len(raw)/2], []byte("GRMD")}
+	return [][]byte{raw, comp, delta, raw[:len(raw)/2], []byte("GRMD"), zeroRunDump()}
+}
+
+// zeroRunDump is a compressed one-region dump with a 16-byte payload whose
+// 15-byte body (u32 length, uvarint RLE length 1<<40, five zero bytes of
+// range-coded stream) decodes as an endless repetition of a zero marker
+// followed by run length 0.
+func zeroRunDump() []byte {
+	s := &Snapshot{Regions: []RegionSnapshot{{Name: "r", Kind: KindCommands, Data: make([]byte, 16)}}}
+	body := append(binary.AppendUvarint(nil, 1<<40), 0, 0, 0, 0, 0)
+	out := make([]byte, s.headerLen(), s.headerLen()+4+len(body))
+	s.putHeader(out, 2) // compressed, not delta
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+	return append(out, body...)
 }
 
 // FuzzDecodeSnapshot asserts the bounded snapshot decoder never panics,
@@ -92,6 +107,26 @@ func TestDecodeDumpBudget(t *testing.T) {
 	lim.MaxDumpBytes = 256 // fixture carries 512+256 payload bytes
 	if _, err := DecodeLimited(raw, nil, lim); err == nil {
 		t.Fatal("dump budget not enforced")
+	}
+}
+
+// A zero-length RLE run writes nothing, so a stream of them would spin the
+// decoder for as long as its declared RLE length (here 2^40 bytes) instead
+// of stopping at the 16-byte destination. The encoder never emits one; the
+// decoder must reject it at once.
+func TestDecodeZeroLengthRunFailsClosed(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := DecodeLimited(zeroRunDump(), nil, snapFuzzLimits)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("zero-length run accepted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("decoder still running after 5s on a 15-byte body")
 	}
 }
 

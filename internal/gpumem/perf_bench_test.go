@@ -70,6 +70,41 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotDecodeDelta is the receiving shim's side of a job
+// boundary: a delta+compressed dump expanded against its base, with runs
+// copied from the base and literals XORed into it in the same pass.
+func BenchmarkSnapshotDecodeDelta(b *testing.B) {
+	for _, spec := range FootprintSpecs() {
+		b.Run(spec.Name, func(b *testing.B) {
+			fp := buildFootprint(b, spec)
+			prev := Capture(fp.Pool, fp.Regions, nil)
+			fp.DirtySome(1)
+			cur := Capture(fp.Pool, fp.Regions, nil)
+			wire, err := cur.Encode(prev, EncodeOptions{Delta: true, Compress: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// One warm-up decode fills the buffer recycler, so the loop
+			// measures the steady state rather than first-touch allocation.
+			warm, err := Decode(wire, prev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			warm.Release()
+			b.SetBytes(cur.RawBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := Decode(wire, prev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Release()
+			}
+		})
+	}
+}
+
 func BenchmarkCaptureFull(b *testing.B) {
 	for _, spec := range FootprintSpecs() {
 		b.Run(spec.Name, func(b *testing.B) {
@@ -132,5 +167,30 @@ func TestSnapshotEncodeAllocBudget(t *testing.T) {
 	})
 	if avg > allocBudget {
 		t.Fatalf("Snapshot.Encode allocates %.1f objects/op, budget is %d", avg, allocBudget)
+	}
+}
+
+// TestSnapshotEncodeDeltaAllocBudget gates the job-boundary encode: a
+// delta+compressed MNIST dump must stay within a small allocs/op budget.
+// The measured value is ~6; the XOR is fused into the RLE pass, so a
+// per-region delta buffer or worker fan-out creeping back (the
+// materializing encoder sat at ~60) fails the budget.
+func TestSnapshotEncodeDeltaAllocBudget(t *testing.T) {
+	const allocBudget = 16
+	fp := buildFootprint(t, MNISTFootprint)
+	prev := Capture(fp.Pool, fp.Regions, nil)
+	fp.DirtySome(1)
+	cur := Capture(fp.Pool, fp.Regions, nil)
+	opts := EncodeOptions{Delta: true, Compress: true}
+	if _, err := cur.Encode(prev, opts); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := cur.Encode(prev, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > allocBudget {
+		t.Fatalf("delta Snapshot.Encode allocates %.1f objects/op, budget is %d", avg, allocBudget)
 	}
 }

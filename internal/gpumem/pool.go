@@ -258,17 +258,18 @@ func (p *Pool) Write(pa PA, data []byte) {
 	}
 }
 
+// zeroPage is the all-zero reference allZero compares against.
+var zeroPage [PageSize]byte
+
+// allZero reports whether b holds only zero bytes, a page-sized
+// bytes.Equal (vectorized memequal) at a time.
 func allZero(b []byte) bool {
-	for len(b) >= 8 {
-		if b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] != 0 {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
 			return false
 		}
-		b = b[8:]
-	}
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
+		b = b[n:]
 	}
 	return true
 }

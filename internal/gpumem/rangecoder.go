@@ -1,6 +1,7 @@
 package gpumem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -15,9 +16,16 @@ import (
 //
 // The coder operates on *chunk lists* rather than one contiguous payload:
 // the snapshot encoder hands it one chunk per region (some known-zero
-// without a backing buffer at all) and the zero-RLE pre-pass merges runs
-// across chunk boundaries, so the coded stream is byte-identical to coding
-// the concatenation while never materializing it.
+// without a backing buffer at all, some a region XOR its delta base) and
+// the zero-RLE pre-pass merges runs across chunk boundaries, so the coded
+// stream is byte-identical to coding the concatenated delta while never
+// materializing it. The decoder mirrors this, expanding straight into the
+// destination regions and applying the delta base as it writes.
+//
+// The arithmetic is that of a textbook bit-serial coder; the code is not.
+// Each byte's eight bits are coded in one loop with the coder state in
+// locals and the interval split and probability update done with masks,
+// so the per-bit cost is a few ALU ops with no data-dependent branch.
 
 const (
 	rcTopBits    = 24
@@ -39,42 +47,28 @@ func newRCEncoder(scratch []byte) *rcEncoder {
 	return &rcEncoder{rng: 0xFFFFFFFF, cacheSize: 1, out: scratch[:0]}
 }
 
-func (e *rcEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
+// shiftLow moves the top byte of low out through the carry cache and
+// returns the shifted low.
+func (e *rcEncoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
 		temp := e.cache
 		for {
-			e.out = append(e.out, byte(uint64(temp)+e.low>>32))
+			e.out = append(e.out, byte(uint64(temp)+low>>32))
 			temp = 0xFF
 			e.cacheSize--
 			if e.cacheSize == 0 {
 				break
 			}
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
-}
-
-func (e *rcEncoder) encodeBit(prob *uint16, bit int) {
-	bound := (e.rng >> 11) * uint32(*prob)
-	if bit == 0 {
-		e.rng = bound
-		*prob += (rcModelTotal - *prob) >> rcMoveBits
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*prob -= *prob >> rcMoveBits
-	}
-	for e.rng < rcTop {
-		e.shiftLow()
-		e.rng <<= 8
-	}
+	return (low << 8) & 0xFFFFFFFF
 }
 
 func (e *rcEncoder) flush() []byte {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 	return e.out
 }
@@ -98,30 +92,6 @@ func newRCDecoder(data []byte) (*rcDecoder, error) {
 	return d, nil
 }
 
-func (d *rcDecoder) decodeBit(prob *uint16) int {
-	bound := (d.rng >> 11) * uint32(*prob)
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-		*prob += (rcModelTotal - *prob) >> rcMoveBits
-	} else {
-		d.code -= bound
-		d.rng -= bound
-		*prob -= *prob >> rcMoveBits
-		bit = 1
-	}
-	for d.rng < rcTop {
-		var b byte // stream end: trailing zero bytes are implied
-		if d.pos < len(d.in) {
-			b = d.in[d.pos]
-			d.pos++
-		}
-		d.code = d.code<<8 | uint32(b)
-		d.rng <<= 8
-	}
-	return bit
-}
-
 type byteModel struct {
 	probs [256]uint16
 }
@@ -132,35 +102,92 @@ func (m *byteModel) init() {
 	}
 }
 
-func (m *byteModel) encode(e *rcEncoder, b byte) {
-	ctx := 1
-	for i := 7; i >= 0; i-- {
-		bit := int(b>>uint(i)) & 1
-		e.encodeBit(&m.probs[ctx], bit)
-		ctx = ctx<<1 | bit
-	}
+// adapt moves an 11-bit probability toward the coded bit without a branch.
+// one is all ones for a 1 bit and zero for a 0 bit. The distance to a
+// target is shifted arithmetically: toward rcModelTotal for a 0 bit, which
+// is prob += (total-prob)>>moveBits, and toward 31 for a 1 bit, where
+// floor((31-prob)/32) == -(prob>>5), which is prob -= prob>>moveBits.
+func adapt(prob, one uint32) uint16 {
+	target := int32(31 + (rcModelTotal-31)&^one)
+	return uint16(int32(prob) + (target-int32(prob))>>rcMoveBits)
 }
 
-func (m *byteModel) decode(d *rcDecoder) byte {
-	ctx := 1
-	for i := 0; i < 8; i++ {
-		ctx = ctx<<1 | d.decodeBit(&m.probs[ctx])
+// encode codes every byte of data MSB first through the bit tree. The coder
+// state lives in locals for the whole stream; each bit's interval split and
+// probability update are mask arithmetic, so the only branches left are
+// the loop and the (rare) renormalization.
+func (m *byteModel) encode(e *rcEncoder, data []byte) {
+	low, rng := e.low, e.rng
+	for _, b := range data {
+		ctx := uint32(1)
+		for i := 7; i >= 0; i-- {
+			bit := uint32(b>>uint(i)) & 1
+			one := -bit
+			p := &m.probs[ctx&0xFF]
+			prob := uint32(*p)
+			bound := (rng >> 11) * prob
+			low += uint64(bound & one)
+			rng = bound + (rng-2*bound)&one // bound, or rng-bound for a 1
+			*p = adapt(prob, one)
+			for rng < rcTop {
+				low = e.shiftLow(low)
+				rng <<= 8
+			}
+			ctx = ctx<<1 | bit
+		}
 	}
+	e.low, e.rng = low, rng
+}
+
+// decode decodes one byte, mirroring encode: the 1-bit mask is the sign of
+// bound-code-1 instead of a comparison branch. Past the end of the input,
+// trailing zero bytes are implied.
+func (m *byteModel) decode(d *rcDecoder) byte {
+	rng, code, in, pos := d.rng, d.code, d.in, d.pos
+	ctx := uint32(1)
+	prob := uint32(m.probs[1])
+	for i := 0; i < 8; i++ {
+		bound := (rng >> 11) * prob
+		// Both children's probabilities load before the bit is known, so
+		// the load is off the bit-to-bit dependency chain.
+		c0 := ctx << 1
+		p0, p1 := uint32(m.probs[c0&0xFF]), uint32(m.probs[(c0|1)&0xFF])
+		one := uint32(int64(uint64(bound)-uint64(code)-1) >> 63)
+		code -= bound & one
+		rng = bound + (rng-2*bound)&one
+		m.probs[ctx&0xFF] = adapt(prob, one)
+		ctx = c0 | one&1
+		prob = p0&^one | p1&one
+		for rng < rcTop {
+			var b byte
+			if pos < len(in) {
+				b = in[pos]
+				pos++
+			}
+			code = code<<8 | uint32(b)
+			rng <<= 8
+		}
+	}
+	d.rng, d.code, d.pos = rng, code, pos
 	return byte(ctx)
 }
 
 // chunk is one piece of a logically concatenated payload. A nil data with
 // n > 0 is a known-zero chunk: the encoder treats it as n zero bytes without
 // reading (or even having) a buffer — this is how delta encoding of a
-// clean, dirty-tracked region costs O(1) instead of O(size).
+// clean, dirty-tracked region costs O(1) instead of O(size). A chunk with a
+// base is an XOR chunk: its bytes are data XOR base, computed as the RLE
+// writer scans, so a delta never materializes in a buffer of its own.
 type chunk struct {
 	data []byte
-	n    int // length; == len(data) when data != nil
+	base []byte // non-nil: the chunk is data XOR base (same length)
+	n    int    // length; == len(data) when data != nil
 }
 
-func dataChunk(b []byte) chunk   { return chunk{data: b, n: len(b)} }
-func zeroChunk(n int) chunk      { return chunk{n: n} }
-func (c *chunk) isZeroRun() bool { return c.data == nil }
+func dataChunk(b []byte) chunk      { return chunk{data: b, n: len(b)} }
+func xorChunk(b, base []byte) chunk { return chunk{data: b, base: base, n: len(b)} }
+func zeroChunk(n int) chunk         { return chunk{n: n} }
+func (c *chunk) isZeroRun() bool    { return c.data == nil }
 
 func chunksLen(chunks []chunk) int {
 	total := 0
@@ -171,8 +198,8 @@ func chunksLen(chunks []chunk) int {
 }
 
 // rleWriter produces the zero-RLE stream: a 0x00 in the output is always
-// followed by a uvarint run length. Runs are accumulated across chunk
-// boundaries, so the output is byte-identical to RLE-coding the
+// followed by a uvarint run length, never zero. Runs are accumulated across
+// chunk boundaries, so the output is byte-identical to RLE-coding the
 // concatenation. The adaptive bit probabilities of the range coder bottom
 // out around 1.5 % of input size on constant data, so this pre-pass is what
 // delivers the orders-of-magnitude ratios the paper relies on for
@@ -193,15 +220,27 @@ func (w *rleWriter) flushRun() {
 	w.run = 0
 }
 
-func (w *rleWriter) write(data []byte) {
+// xorBlock is the span writeXOR compares with bytes.Equal before it falls
+// back to words and bytes. A dirty region's delta and zero-filled program
+// data are mostly equal spans, so whole blocks are the common case.
+const xorBlock = 256
+
+// writeXOR RLE-codes data XOR base without materializing it: equal spans
+// extend the zero run, differing bytes are emitted as XOR literals.
+func (w *rleWriter) writeXOR(data, base []byte) {
+	le := binary.LittleEndian
+	n := len(data)
+	base = base[:n]
 	i := 0
-	for i < len(data) {
-		// Word-wise scan over the zero span.
+	for i < n {
 		j := i
-		for j+8 <= len(data) && binary.LittleEndian.Uint64(data[j:]) == 0 {
+		for j+xorBlock <= n && bytes.Equal(data[j:j+xorBlock], base[j:j+xorBlock]) {
+			j += xorBlock
+		}
+		for j+8 <= n && le.Uint64(data[j:]) == le.Uint64(base[j:]) {
 			j += 8
 		}
-		for j < len(data) && data[j] == 0 {
+		for j < n && data[j] == base[j] {
 			j++
 		}
 		if j > i {
@@ -210,12 +249,20 @@ func (w *rleWriter) write(data []byte) {
 			continue
 		}
 		w.flushRun()
-		j = i
-		for j < len(data) && data[j] != 0 {
+		for j < n && data[j] != base[j] {
+			w.out = append(w.out, data[j]^base[j])
 			j++
 		}
-		w.out = append(w.out, data[i:j]...)
 		i = j
+	}
+}
+
+// write RLE-codes plain data as its XOR against the zero page.
+func (w *rleWriter) write(data []byte) {
+	for len(data) > 0 {
+		n := min(len(data), len(zeroPage))
+		w.writeXOR(data[:n], zeroPage[:n])
+		data = data[n:]
 	}
 }
 
@@ -224,32 +271,45 @@ func zeroRLEChunks(chunks []chunk, scratch []byte) []byte {
 	w := rleWriter{out: scratch[:0]}
 	for i := range chunks {
 		c := &chunks[i]
-		if c.isZeroRun() {
+		switch {
+		case c.isZeroRun():
 			w.run += uint64(c.n)
-			continue
+		case c.base != nil:
+			w.writeXOR(c.data, c.base)
+		default:
+			w.write(c.data)
 		}
-		w.write(c.data)
 	}
 	w.flushRun()
 	return w.out
 }
 
 // rleReader expands a zero-RLE stream into a sequence of destination
-// buffers, writing explicit zeros for runs (destinations may be recycled,
-// dirty buffers).
+// buffers. Destinations may be recycled, dirty buffers, so every byte is
+// written: with bases (a delta stream), a run copies the base and a literal
+// is XORed with it; without, a run is explicit zeros.
 type rleReader struct {
-	dsts [][]byte
-	di   int // current destination index
-	off  int // write offset within dsts[di]
+	dsts  [][]byte
+	bases [][]byte // nil, or one base per destination of the same length
+	di    int      // current destination index
+	off   int      // write offset within dsts[di]
 }
 
-func (r *rleReader) put(b byte) error {
+// next skips full destinations and reports whether any room is left.
+func (r *rleReader) next() bool {
 	for r.di < len(r.dsts) && r.off == len(r.dsts[r.di]) {
 		r.di++
 		r.off = 0
 	}
-	if r.di >= len(r.dsts) {
+	return r.di < len(r.dsts)
+}
+
+func (r *rleReader) put(b byte) error {
+	if !r.next() {
 		return fmt.Errorf("range coder: zero run overflows output")
+	}
+	if r.bases != nil {
+		b ^= r.bases[r.di][r.off]
 	}
 	r.dsts[r.di][r.off] = b
 	r.off++
@@ -258,31 +318,22 @@ func (r *rleReader) put(b byte) error {
 
 func (r *rleReader) putZeros(n uint64) error {
 	for n > 0 {
-		for r.di < len(r.dsts) && r.off == len(r.dsts[r.di]) {
-			r.di++
-			r.off = 0
-		}
-		if r.di >= len(r.dsts) {
+		if !r.next() {
 			return fmt.Errorf("range coder: zero run overflows output")
 		}
-		dst := r.dsts[r.di]
-		span := uint64(len(dst) - r.off)
-		if span > n {
-			span = n
+		dst := r.dsts[r.di][r.off:]
+		if uint64(len(dst)) > n {
+			dst = dst[:n]
 		}
-		zeroFill(dst[r.off : r.off+int(span)])
-		r.off += int(span)
-		n -= span
+		if r.bases != nil {
+			copy(dst, r.bases[r.di][r.off:])
+		} else {
+			zeroFill(dst)
+		}
+		r.off += len(dst)
+		n -= uint64(len(dst))
 	}
 	return nil
-}
-
-func (r *rleReader) done() bool {
-	for r.di < len(r.dsts) && r.off == len(r.dsts[r.di]) {
-		r.di++
-		r.off = 0
-	}
-	return r.di >= len(r.dsts)
 }
 
 func zeroFill(b []byte) {
@@ -305,9 +356,7 @@ func rangeEncodeChunks(chunks []chunk) []byte {
 	e := newRCEncoder(codedScratch)
 	var m byteModel
 	m.init()
-	for _, b := range rle {
-		m.encode(e, b)
-	}
+	m.encode(e, rle)
 	coded := e.flush()
 
 	var hdr [binary.MaxVarintLen64]byte
@@ -323,8 +372,10 @@ func rangeEncodeChunks(chunks []chunk) []byte {
 
 // rangeDecodeChunks decompresses a rangeEncodeChunks stream directly into
 // the destination buffers, whose total length must equal the original
-// payload length. Destinations are fully overwritten (zero runs included).
-func rangeDecodeChunks(encoded []byte, dsts [][]byte) error {
+// payload length. Destinations are fully overwritten. With bases, the
+// stream is a delta and each destination receives its base XOR the decoded
+// bytes, in the same pass.
+func rangeDecodeChunks(encoded []byte, dsts, bases [][]byte) error {
 	rleLen, n := binary.Uvarint(encoded)
 	if n <= 0 {
 		return fmt.Errorf("range coder: missing RLE header")
@@ -335,7 +386,7 @@ func rangeDecodeChunks(encoded []byte, dsts [][]byte) error {
 	}
 	var m byteModel
 	m.init()
-	r := rleReader{dsts: dsts}
+	r := rleReader{dsts: dsts, bases: bases}
 	for i := uint64(0); i < rleLen; i++ {
 		b := m.decode(d)
 		if b != 0 {
@@ -363,11 +414,17 @@ func rangeDecodeChunks(encoded []byte, dsts [][]byte) error {
 			}
 			shift += 7
 		}
+		// The encoder never emits an empty run. Rejecting one keeps every
+		// iteration writing at least one byte, so a hostile RLE length
+		// cannot spin the loop past the destination size.
+		if run == 0 {
+			return fmt.Errorf("range coder: corrupt zero run")
+		}
 		if err := r.putZeros(run); err != nil {
 			return err
 		}
 	}
-	if !r.done() {
+	if r.next() {
 		total := 0
 		for _, d := range dsts {
 			total += len(d)
@@ -387,7 +444,7 @@ func RangeEncode(data []byte) []byte {
 // RangeDecode decompresses a RangeEncode stream of the given original length.
 func RangeDecode(encoded []byte, length int) ([]byte, error) {
 	out := make([]byte, length)
-	if err := rangeDecodeChunks(encoded, [][]byte{out}); err != nil {
+	if err := rangeDecodeChunks(encoded, [][]byte{out}, nil); err != nil {
 		return nil, err
 	}
 	return out, nil

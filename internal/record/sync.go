@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"strconv"
 
 	"gpurelay/internal/gpumem"
 	"gpurelay/internal/kbase"
@@ -92,22 +93,32 @@ func (s *syncer) regions() []*gpumem.Region {
 		}
 		out = append(out, r)
 	}
+	var name [24]byte // "pt@" + at most 16 hex digits
 	for _, pa := range s.ctx.PageTable().Pages() {
 		out = append(out, &gpumem.Region{
-			Name: fmt.Sprintf("pt@%x", pa), Kind: gpumem.KindPageTable,
-			PA: pa, Size: gpumem.PageSize,
+			Name:  string(strconv.AppendUint(append(name[:0], "pt@"...), uint64(pa), 16)),
+			Kind:  gpumem.KindPageTable,
+			PA:    pa,
+			Size:  gpumem.PageSize,
 			Flags: gpumem.DefaultFlags(gpumem.KindPageTable),
 		})
 	}
 	return out
 }
 
+// fingerprint is the structural region-list key: "name:pa:size;" per
+// region, PA and size in lowercase hex.
 func fingerprint(regions []*gpumem.Region) string {
-	fp := ""
+	fp := make([]byte, 0, 32*len(regions))
 	for _, r := range regions {
-		fp += fmt.Sprintf("%s:%x:%x;", r.Name, r.PA, r.Size)
+		fp = append(fp, r.Name...)
+		fp = append(fp, ':')
+		fp = strconv.AppendUint(fp, uint64(r.PA), 16)
+		fp = append(fp, ':')
+		fp = strconv.AppendUint(fp, r.Size, 16)
+		fp = append(fp, ';')
 	}
-	return fp
+	return string(fp)
 }
 
 // metaFP fingerprints the delta-encoder metastate in both directions: the
