@@ -1,13 +1,13 @@
 package main
 
-// The -perf -ckpt-mode path benchmarks checkpoint capture (PR9): full
-// whole-session captures vs. the epoch-chained incremental capturer, on the
-// evaluation's smallest and largest footprints, plus the fleet-shared
-// speculation warm start (a cold service's first session seeded from a
-// peer's validated-commit export). The numbers land in BENCH_PR9.json and
-// CI gates two of them: incremental capture must cost well under full
-// capture (-ckpt-gate), and the warm-started cold session's speculation
-// hit rate must strictly beat the unseeded cold baseline.
+// The -perf checkpoint benchmark (BENCH_PR9.json) measures epoch capture
+// against a whole-session checkpoint reference on the evaluation's smallest
+// and largest footprints, plus the fleet-shared speculation warm start (a
+// cold service's first session seeded from a peer's validated-commit
+// export). CI gates two of its numbers (checkCkptGates): epoch capture must
+// cost well under the whole-checkpoint reference (-ckpt-gate), and the
+// warm-started cold session's speculation hit rate must strictly beat the
+// unseeded cold baseline.
 
 import (
 	"encoding/json"
@@ -29,13 +29,12 @@ type ckptCaptureEntry struct {
 	Footprint     string  `json:"footprint"`
 	Jobs          int     `json:"jobs"`
 	EventsPerJob  int     `json:"events_per_job"`
-	CaptureFullNs int64   `json:"capture_full_ns"` // per boundary
-	CaptureIncrNs int64   `json:"capture_incr_ns"` // per boundary (incremental mode)
+	CaptureFullNs int64   `json:"capture_full_ns"` // per boundary, whole-checkpoint reference
+	CaptureIncrNs int64   `json:"capture_incr_ns"` // per boundary, epoch capture
 	Ratio         float64 `json:"ratio"`           // incr / full
 	FullSealedMB  float64 `json:"full_sealed_mb"`  // per session
 	IncrSealedMB  float64 `json:"incr_sealed_mb"`  // per session
-	Epochs        int     `json:"epochs"`          // per incremental session
-	Conflicts     int     `json:"conflicts"`       // per incremental session
+	Epochs        int     `json:"epochs"`          // per session
 }
 
 // specWarmEntry reports the fleet warm-start experiment: the same workload
@@ -61,32 +60,27 @@ type ckptArtifact struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	NumCPU     int                `json:"num_cpu"`
 	Timestamp  string             `json:"timestamp"`
-	Mode       string             `json:"ckpt_mode"`
 	Gate       float64            `json:"ckpt_gate"`
 	Captures   []ckptCaptureEntry `json:"captures"`
-	SpecWarm   *specWarmEntry     `json:"spec_warm,omitempty"`
+	SpecWarm   specWarmEntry      `json:"spec_warm"`
 }
 
 // benchCaptureSession benchmarks one synthetic session's checkpoint
-// captures in the given mode and reports per-session time, sealed bytes
-// per session, and (for incremental) sealed epochs and conflicts.
-func benchCaptureSession(spec gpumem.FootprintSpec, mode record.CkptMode) (nsPerSession int64, sealedMB float64, captures, conflicts int, err error) {
-	p, err := record.NewCkptPerf(spec, mode, 0, 0)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
+// captures, run by session (RunSession or RunWholeSession of p), and
+// reports per-session time, sealed bytes per session, and sealed captures
+// per session.
+func benchCaptureSession(p *record.CkptPerf, session func()) (nsPerSession int64, sealedMB float64, captures int) {
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.RunSession()
+			session()
 		}
 	})
 	// The harness accumulates across every iteration including the warmup
 	// probes testing.Benchmark runs outside the measured N, so per-session
 	// sealed output is read off one final session's delta, not an average.
 	sealed0, captures0 := p.Sealed(), p.Captures()
-	p.RunSession()
-	return res.NsPerOp(), float64(p.Sealed()-sealed0) / (1 << 20),
-		p.Captures() - captures0, p.Conflicts(), nil
+	session()
+	return res.NsPerOp(), float64(p.Sealed()-sealed0) / (1 << 20), p.Captures() - captures0
 }
 
 // measureSpecWarm runs the fleet warm-start experiment: a donor service
@@ -94,7 +88,7 @@ func benchCaptureSession(spec gpumem.FootprintSpec, mode record.CkptMode) (nsPer
 // prediction confidence), exports its validated commits, and two fresh
 // services then record the same workload cold — one unseeded, one seeded
 // from the export. All delays are virtual; the hit rates are deterministic.
-func measureSpecWarm() (*specWarmEntry, error) {
+func measureSpecWarm() (specWarmEntry, error) {
 	model := gpurelay.MNIST()
 	sku := gpurelay.MaliG71MP8
 
@@ -102,7 +96,7 @@ func measureSpecWarm() (*specWarmEntry, error) {
 	donorClient := gpurelay.NewClient("ckptbench-donor", sku)
 	for i := 0; i < 2; i++ {
 		if _, _, err := donorClient.Record(donor, model, gpurelay.RecordOptions{}); err != nil {
-			return nil, fmt.Errorf("donor session %d: %w", i, err)
+			return specWarmEntry{}, fmt.Errorf("donor session %d: %w", i, err)
 		}
 	}
 	snap := donor.ExportSpecHistory()
@@ -111,7 +105,7 @@ func measureSpecWarm() (*specWarmEntry, error) {
 	coldClient := gpurelay.NewClient("ckptbench-cold", sku)
 	_, coldStats, err := coldClient.Record(cold, model, gpurelay.RecordOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("cold session: %w", err)
+		return specWarmEntry{}, fmt.Errorf("cold session: %w", err)
 	}
 
 	warm := gpurelay.NewService()
@@ -119,10 +113,10 @@ func measureSpecWarm() (*specWarmEntry, error) {
 	warmClient := gpurelay.NewClient("ckptbench-warm", sku)
 	_, warmStats, err := warmClient.Record(warm, model, gpurelay.RecordOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("warm session: %w", err)
+		return specWarmEntry{}, fmt.Errorf("warm session: %w", err)
 	}
 
-	e := &specWarmEntry{
+	e := specWarmEntry{
 		Model:       model.Name,
 		SeededSigs:  seeded,
 		ColdCommits: coldStats.Shim.Commits,
@@ -139,70 +133,47 @@ func measureSpecWarm() (*specWarmEntry, error) {
 	return e, nil
 }
 
-// runCkptBench measures checkpoint capture in the requested mode, writes
-// BENCH_PR9.json, and enforces the gates: with mode "incremental", the
-// incremental/full per-boundary ratio must stay under gate (when > 0) on
-// every footprint, and the warm-started hit rate must strictly exceed the
-// cold baseline. Gate violations are exit-1 failures — the build, not the
-// invocation, is at fault.
-func runCkptBench(mode, outPath string, gate float64) error {
-	fmt.Printf("\n=== checkpoint capture benchmarks (wall-clock, mode %s) ===\n", mode)
+// runCkptBench measures checkpoint capture and the speculation warm start,
+// writes the checkpoint artifact to outPath, and then applies its gates.
+// Gate violations are exit-1 failures — the build, not the invocation, is
+// at fault.
+func runCkptBench(outPath string, gate float64) error {
+	fmt.Printf("\n=== checkpoint capture benchmarks (wall-clock) ===\n")
 	art := ckptArtifact{
 		Schema: "grt-ckpt/1", GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Mode:      mode, Gate: gate,
+		Gate:      gate,
 	}
-	incremental := mode == "incremental"
-
-	var gateErr error
 	for _, spec := range gpumem.FootprintSpecs() {
-		e := ckptCaptureEntry{Footprint: spec.Name, Jobs: spec.Kernels, EventsPerJob: 96}
-		fullNs, fullMB, _, _, err := benchCaptureSession(spec, record.CkptFull)
+		p, err := record.NewCkptPerf(spec, 0, 0)
 		if err != nil {
 			return err
 		}
+		e := ckptCaptureEntry{Footprint: spec.Name, Jobs: spec.Kernels, EventsPerJob: 96}
+		fullNs, fullMB, _ := benchCaptureSession(p, p.RunWholeSession)
+		incrNs, incrMB, epochs := benchCaptureSession(p, p.RunSession)
 		e.CaptureFullNs = fullNs / int64(spec.Kernels)
 		e.FullSealedMB = fullMB
-		if incremental {
-			incrNs, incrMB, epochs, conflicts, err := benchCaptureSession(spec, record.CkptIncremental)
-			if err != nil {
-				return err
-			}
-			e.CaptureIncrNs = incrNs / int64(spec.Kernels)
-			e.IncrSealedMB = incrMB
-			e.Epochs = epochs
-			e.Conflicts = conflicts
-			if e.CaptureFullNs > 0 {
-				e.Ratio = float64(e.CaptureIncrNs) / float64(e.CaptureFullNs)
-			}
-			fmt.Printf("%-24s full %10d ns/boundary (%6.2f MB/session)  incremental %10d ns/boundary (%6.2f MB/session)  ratio %.3f\n",
-				spec.Name, e.CaptureFullNs, e.FullSealedMB, e.CaptureIncrNs, e.IncrSealedMB, e.Ratio)
-			if gate > 0 && e.Ratio >= gate && gateErr == nil {
-				gateErr = fmt.Errorf("checkpoint gate: %s incremental/full capture ratio %.3f >= ceiling %.3f",
-					spec.Name, e.Ratio, gate)
-			}
-		} else {
-			fmt.Printf("%-24s full %10d ns/boundary (%6.2f MB/session)\n",
-				spec.Name, e.CaptureFullNs, e.FullSealedMB)
+		e.CaptureIncrNs = incrNs / int64(spec.Kernels)
+		e.IncrSealedMB = incrMB
+		e.Epochs = epochs
+		if e.CaptureFullNs > 0 {
+			e.Ratio = float64(e.CaptureIncrNs) / float64(e.CaptureFullNs)
 		}
+		fmt.Printf("%-24s whole %10d ns/boundary (%6.2f MB/session)  epoch %10d ns/boundary (%6.2f MB/session)  ratio %.3f\n",
+			spec.Name, e.CaptureFullNs, e.FullSealedMB, e.CaptureIncrNs, e.IncrSealedMB, e.Ratio)
 		art.Captures = append(art.Captures, e)
 	}
 
-	if incremental {
-		sw, err := measureSpecWarm()
-		if err != nil {
-			return err
-		}
-		art.SpecWarm = sw
-		fmt.Printf("spec warm start (%s): cold hit rate %.3f (%d/%d), warm %.3f (%d/%d), %d sigs seeded\n",
-			sw.Model, sw.ColdHitRate, sw.ColdAsync, sw.ColdCommits,
-			sw.WarmHitRate, sw.WarmAsync, sw.WarmCommits, sw.SeededSigs)
-		if gateErr == nil && sw.WarmHitRate <= sw.ColdHitRate {
-			gateErr = fmt.Errorf("spec warm-start gate: warm hit rate %.3f does not beat cold %.3f",
-				sw.WarmHitRate, sw.ColdHitRate)
-		}
+	sw, err := measureSpecWarm()
+	if err != nil {
+		return err
 	}
+	art.SpecWarm = sw
+	fmt.Printf("spec warm start (%s): cold hit rate %.3f (%d/%d), warm %.3f (%d/%d), %d sigs seeded\n",
+		sw.Model, sw.ColdHitRate, sw.ColdAsync, sw.ColdCommits,
+		sw.WarmHitRate, sw.WarmAsync, sw.WarmCommits, sw.SeededSigs)
 
 	blob, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
@@ -213,5 +184,23 @@ func runCkptBench(mode, outPath string, gate float64) error {
 		return err
 	}
 	fmt.Printf("checkpoint artifact written to %s\n", outPath)
-	return gateErr
+	return checkCkptGates(art)
+}
+
+// checkCkptGates applies the checkpoint artifact's two gates: every
+// footprint's epoch/whole capture ratio must stay under art.Gate (when
+// > 0), and the warm-started speculation hit rate must strictly beat the
+// cold one. It reports the first gate that does not hold.
+func checkCkptGates(art ckptArtifact) error {
+	for _, e := range art.Captures {
+		if art.Gate > 0 && e.Ratio >= art.Gate {
+			return fmt.Errorf("checkpoint gate: %s epoch/whole capture ratio %.3f >= ceiling %.3f",
+				e.Footprint, e.Ratio, art.Gate)
+		}
+	}
+	if sw := art.SpecWarm; sw.WarmHitRate <= sw.ColdHitRate {
+		return fmt.Errorf("spec warm-start gate: warm hit rate %.3f does not beat cold %.3f",
+			sw.WarmHitRate, sw.ColdHitRate)
+	}
+	return nil
 }

@@ -8,14 +8,15 @@
 //
 //	grtbench            # the full paper evaluation
 //	grtbench -fast      # MNIST + AlexNet only
-//	grtbench -perf      # memory-sync micro-benchmarks -> BENCH_PR4.json
+//	grtbench -perf -ckpt-gate 0.5
+//	                    # memory-sync micro-benchmarks -> BENCH_PR4.json, then
+//	                    # checkpoint capture, epoch vs whole-checkpoint
+//	                    # reference, plus the fleet speculation warm start
+//	                    # -> BENCH_PR9.json
 //	grtbench -fleet -sessions 16
 //	                    # drill: serial then parallel engine, seal identity -> BENCH_PR6.json
 //	grtbench -fleet -clients 10000 -sessions 100 -shards 4 -fleetout BENCH_PR8.json
 //	                    # cache-first sharded drill, amplification gate
-//	grtbench -perf -ckpt-mode incremental -ckpt-gate 0.5
-//	                    # checkpoint capture, full vs incremental, plus the
-//	                    # fleet speculation warm start -> BENCH_PR9.json
 //	grtbench -fleet -health-plan dying-gpu -sessions 100 -fleetout BENCH_PR10.json
 //	                    # degraded drill: device faults, cross-VM migration,
 //	                    # byte-identity gate
@@ -77,7 +78,7 @@ func reject(stage, reason, msg string) {
 
 func main() {
 	fast := flag.Bool("fast", false, "run only MNIST and AlexNet")
-	perf := flag.Bool("perf", false, "run memory-sync micro-benchmarks and write a perf artifact")
+	perf := flag.Bool("perf", false, "run the memory-sync micro-benchmarks and the checkpoint benchmark and write their artifacts")
 	perfOut := flag.String("perfout", "BENCH_PR4.json", "perf artifact output path (with -perf)")
 	fleet := flag.Bool("fleet", false, "run the record-session drill twice on the discrete-event engine, gate it, and write a grt-drill/1 artifact")
 	fleetOut := flag.String("fleetout", "BENCH_PR6.json", "drill artifact output path (with -fleet)")
@@ -87,32 +88,20 @@ func main() {
 	clients := flag.Int("clients", 0, "with -fleet: client arrivals at a cache-first sharded front over -sessions workloads (selects the cache drill)")
 	shards := flag.Int("shards", 0, "with -fleet -clients: admission partitions under consistent hashing on the cache key (omitted -> the drill's default)")
 	healthPlan := flag.String("health-plan", "", "with -fleet: afflict every fourth session with this device-health fault plan (preset name or spec, e.g. dying-gpu) and gate on migration and byte identity")
-	ckptMode := flag.String("ckpt-mode", "", "with -perf: also benchmark checkpoint capture (full|incremental; incremental measures both modes plus the fleet speculation warm start) and write the checkpoint artifact")
-	ckptOut := flag.String("ckptout", "BENCH_PR9.json", "checkpoint artifact output path (with -perf -ckpt-mode)")
-	ckptGate := flag.Float64("ckpt-gate", 0, "with -perf -ckpt-mode incremental: fail (exit 1) when the incremental/full capture-time ratio reaches this ceiling on any footprint (0 = no gate)")
+	ckptOut := flag.String("ckptout", "BENCH_PR9.json", "checkpoint artifact output path (with -perf)")
+	ckptGate := flag.Float64("ckpt-gate", 0, "with -perf: fail (exit 1) when the epoch/whole-checkpoint capture-time ratio reaches this ceiling on any footprint (0 = no gate)")
 	flag.Parse()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	if set["ckpt-mode"] || set["ckptout"] || set["ckpt-gate"] {
-		// The checkpoint benchmark's flag surface is validated before
-		// anything runs.
-		if !set["ckpt-mode"] {
-			rejectFlags("needs_ckpt_mode", "-ckptout/-ckpt-gate configure the checkpoint benchmark and need -ckpt-mode")
-		}
-		if *ckptMode != "full" && *ckptMode != "incremental" {
-			rejectFlags("bad_ckpt_mode", fmt.Sprintf("unknown checkpoint mode %q (full|incremental)", *ckptMode))
-		}
-		if !*perf {
-			rejectFlags("needs_perf", "-ckpt-mode benchmarks checkpoint capture and needs -perf")
-		}
-		if set["ckpt-gate"] && *ckptGate < 0 {
-			rejectFlags("bad_ckpt_gate", fmt.Sprintf("-ckpt-gate %v: the capture-ratio ceiling cannot be negative", *ckptGate))
-		}
-		if set["ckpt-gate"] && *ckptGate > 0 && *ckptMode != "incremental" {
-			rejectFlags("gate_needs_incremental", "-ckpt-gate compares incremental to full capture and needs -ckpt-mode incremental")
-		}
+	// The checkpoint benchmark's flag surface is validated before anything
+	// runs.
+	if (set["ckptout"] || set["ckpt-gate"]) && !*perf {
+		rejectFlags("needs_perf", "-ckptout/-ckpt-gate configure the checkpoint benchmark and need -perf")
+	}
+	if *ckptGate < 0 {
+		rejectFlags("bad_ckpt_gate", fmt.Sprintf("-ckpt-gate %v: the capture-ratio ceiling cannot be negative", *ckptGate))
 	}
 	// The drill flags only forward values: platform.Drill owns the
 	// defaults and rejects inconsistent combinations as a
@@ -141,10 +130,8 @@ func main() {
 		if err := runPerf(*perfOut); err != nil {
 			log.Fatal(err)
 		}
-		if *ckptMode != "" {
-			if err := runCkptBench(*ckptMode, *ckptOut, *ckptGate); err != nil {
-				log.Fatal(err)
-			}
+		if err := runCkptBench(*ckptOut, *ckptGate); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}

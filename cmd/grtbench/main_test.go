@@ -38,11 +38,8 @@ func TestFlagMisuse(t *testing.T) {
 		{[]string{"-fleet", "-health-plan", "flaky"}, "flags", "no_health_faults"},
 		{[]string{"-fleet", "-health-plan", "dying-gpu", "-clients", "100"}, "flags", "shard_conflict"},
 		{[]string{"-fleet", "-health-plan", "bogus"}, "fault-plan", "unknown_kind"},
-		{[]string{"-ckptout", "c.json"}, "flags", "needs_ckpt_mode"},
-		{[]string{"-perf", "-ckpt-mode", "bogus"}, "flags", "bad_ckpt_mode"},
-		{[]string{"-ckpt-mode", "full"}, "flags", "needs_perf"},
-		{[]string{"-perf", "-ckpt-mode", "incremental", "-ckpt-gate", "-1"}, "flags", "bad_ckpt_gate"},
-		{[]string{"-perf", "-ckpt-mode", "full", "-ckpt-gate", "0.5"}, "flags", "gate_needs_incremental"},
+		{[]string{"-ckptout", "c.json"}, "flags", "needs_perf"},
+		{[]string{"-perf", "-ckpt-gate", "-1"}, "flags", "bad_ckpt_gate"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -17,11 +17,9 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
@@ -29,6 +27,7 @@ import (
 	"gpurelay/internal/cloud"
 	"gpurelay/internal/diag"
 	"gpurelay/internal/obs"
+	"gpurelay/internal/platform"
 	"gpurelay/internal/trace"
 )
 
@@ -38,34 +37,17 @@ func readRecording(path string) (*trace.Recording, error) {
 		return nil, err
 	}
 	defer f.Close()
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != "GRTB" {
-		return nil, fmt.Errorf("%s is not a grtrecord bundle", path)
-	}
-	read := func() ([]byte, error) {
-		var n uint32
-		if err := binary.Read(f, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		b := make([]byte, n)
-		_, err := io.ReadFull(f, b)
-		return b, err
-	}
-	payload, err := read()
+	entries, err := platform.ReadBundle(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	mac, err := read()
-	if err != nil {
-		return nil, err
+	if len(entries) != 1 {
+		return nil, fmt.Errorf("%s holds %d recordings; compare takes single-GPU bundles", path, len(entries))
 	}
-	key, err := read()
-	if err != nil {
-		return nil, err
-	}
-	signed := &trace.Signed{Payload: payload}
-	copy(signed.MAC[:], mac)
-	return trace.Verify(signed, key)
+	e := entries[0]
+	signed := &trace.Signed{Payload: e.Payload}
+	copy(signed.MAC[:], e.MAC)
+	return trace.Verify(signed, e.Key)
 }
 
 func runCompare(args []string) {

@@ -19,16 +19,16 @@
 //	grtrecord -model mnist -faults outage -ckpt mnist.grtc -o mnist.grt
 //	grtrecord -model mnist -resume mnist.grtc -o mnist.grt
 //
-// Checkpoint cost: -ckpt-mode incremental switches the resumable session to
-// epoch-chained delta captures (each capture covers only the jobs since the
-// previous epoch, staged at one job boundary and validated at the next), and
-// -ckpt-cadence spaces captures every n completed jobs:
+// Checkpoint cost: a resumable session captures one epoch of an epoch chain
+// at each job boundary (each epoch covers only the jobs since the previous
+// one), and -ckpt-cadence spaces captures every n completed jobs:
 //
-//	grtrecord -model vgg16 -ckpt vgg.grtc -ckpt-mode incremental -ckpt-cadence 4 -o vgg.grt
+//	grtrecord -model vgg16 -ckpt vgg.grtc -ckpt-cadence 4 -o vgg.grt
 //
-// Inconsistent checkpoint-tuning flags (e.g. -ckpt-cadence without -ckpt)
-// are rejected with exit code 2 and a single-line JSON report on stderr
-// ({"rejected":true,"stage":"flags","reason":...}), matching grtbench.
+// Inconsistent checkpoint-tuning flags (-ckpt-cadence without -ckpt, or a
+// negative cadence) are rejected with exit code 2 and a single-line JSON
+// report on stderr ({"rejected":true,"stage":"flags","reason":...}),
+// matching grtbench.
 //
 // Cache-first: -cached derives the content-addressed cache key (SKU, stack,
 // workload, input shape) before admission and serves a store hit with zero
@@ -39,7 +39,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -50,6 +49,7 @@ import (
 	"strings"
 
 	"gpurelay"
+	"gpurelay/internal/platform"
 )
 
 // rejectFlags prints one machine-readable JSON line to stderr and exits 2:
@@ -152,7 +152,6 @@ func main() {
 	resumeFlag := flag.String("resume", "", "resume a lost session from this checkpoint file")
 	ckptFlag := flag.String("ckpt", "", "keep the latest job-boundary checkpoint in this file (enables resumable recording)")
 	maxResumesFlag := flag.Int("max-resumes", 0, "automatic resumes of a lost session before giving up (0 = default 3, negative = never)")
-	ckptModeFlag := flag.String("ckpt-mode", "full", "with -ckpt: checkpoint capture strategy: full (whole session every capture) | incremental (epoch-chained deltas, staged concurrently with execution)")
 	ckptCadenceFlag := flag.Int("ckpt-cadence", 0, "with -ckpt: completed jobs between checkpoint captures (0 = every job)")
 	flightFlag := flag.String("flight-out", "", "write the service's flight-recorder journal (JSON Lines, for grtdiag flight) to this file (\"-\" for stdout); written on success and on failure")
 	bundleOutFlag := flag.String("bundle-out", "", "on failure, write the sealed diagnostic bundle (GRTD, for grtdiag bundle) to this file before exiting")
@@ -168,20 +167,11 @@ func main() {
 	// recordings can triage a misconfiguration without parsing error prose.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	var ckptMode gpurelay.CkptMode
-	switch strings.ToLower(*ckptModeFlag) {
-	case "full":
-		ckptMode = gpurelay.CkptFull
-	case "incremental":
-		ckptMode = gpurelay.CkptIncremental
-	default:
-		rejectFlags("bad_ckpt_mode", fmt.Sprintf("unknown checkpoint mode %q (full|incremental)", *ckptModeFlag))
-	}
 	if *ckptCadenceFlag < 0 {
 		rejectFlags("bad_ckpt_cadence", fmt.Sprintf("-ckpt-cadence %d: captures cannot run less often than never", *ckptCadenceFlag))
 	}
-	if (set["ckpt-mode"] || set["ckpt-cadence"]) && *ckptFlag == "" {
-		rejectFlags("needs_ckpt", "-ckpt-mode/-ckpt-cadence tune resumable checkpointing and need -ckpt")
+	if set["ckpt-cadence"] && *ckptFlag == "" {
+		rejectFlags("needs_ckpt", "-ckpt-cadence tunes resumable checkpointing and needs -ckpt")
 	}
 
 	model, err := modelByName(*modelFlag)
@@ -268,7 +258,7 @@ func main() {
 	if resilient := *faultsFlag != "" || *resumeFlag != "" || *ckptFlag != "" || *maxResumesFlag != 0; resilient {
 		opts := gpurelay.ResilienceOptions{
 			RecordOptions: recOpts, MaxResumes: *maxResumesFlag,
-			CkptMode: ckptMode, CkptCadence: *ckptCadenceFlag,
+			CkptCadence: *ckptCadenceFlag,
 		}
 		if *faultsFlag != "" {
 			plan, err := gpurelay.ParseFaultPlan(*faultsFlag)
@@ -408,6 +398,11 @@ func writeOutput(path string, fn func(io.Writer) error) error {
 	if path == "-" {
 		return fn(os.Stdout)
 	}
+	return writeFile(path, fn)
+}
+
+// writeFile creates path and writes it via fn.
+func writeFile(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -424,14 +419,18 @@ func writeOutput(path string, fn func(io.Writer) error) error {
 // that key in the TEE's secure storage.
 func writeBundle(path string, rec *gpurelay.Recording) error {
 	payload, mac, key := rec.Bundle()
-	return writeChunks(path, "GRTB", payload, mac, key)
+	return writeFile(path, func(w io.Writer) error {
+		return platform.WriteBundle(w, []platform.Entry{{Payload: payload, MAC: mac, Key: key}})
+	})
 }
 
 // writeCheckpoint saves a sealed checkpoint, same layout as a recording
 // bundle under a "GRTC" magic (and the same key-bundling caveat).
 func writeCheckpoint(path string, cp *gpurelay.Checkpoint) error {
 	payload, mac, key := cp.Bundle()
-	return writeChunks(path, "GRTC", payload, mac, key)
+	return writeFile(path, func(w io.Writer) error {
+		return platform.WriteCheckpoint(w, platform.Entry{Payload: payload, MAC: mac, Key: key})
+	})
 }
 
 func readCheckpoint(path string) (*gpurelay.Checkpoint, error) {
@@ -440,50 +439,9 @@ func readCheckpoint(path string) (*gpurelay.Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != "GRTC" {
-		return nil, fmt.Errorf("%s is not a grtrecord checkpoint", path)
-	}
-	read := func() ([]byte, error) {
-		var n uint32
-		if err := binary.Read(f, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		b := make([]byte, n)
-		_, err := io.ReadFull(f, b)
-		return b, err
-	}
-	payload, err := read()
+	e, err := platform.ReadCheckpoint(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	mac, err := read()
-	if err != nil {
-		return nil, err
-	}
-	key, err := read()
-	if err != nil {
-		return nil, err
-	}
-	return gpurelay.CheckpointFromBundle(payload, mac, key)
-}
-
-func writeChunks(path, magic string, chunks ...[]byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.WriteString(magic); err != nil {
-		return err
-	}
-	for _, b := range chunks {
-		if err := binary.Write(f, binary.LittleEndian, uint32(len(b))); err != nil {
-			return err
-		}
-		if _, err := f.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return gpurelay.CheckpointFromBundle(e.Payload, e.MAC, e.Key)
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 
 	"gpurelay"
 	"gpurelay/internal/platform"
@@ -74,15 +74,7 @@ func runPlatform(opts platformOpts) error {
 			Key:     platform.SessionKey(opts.seed, i),
 		}
 	}
-	f, err := os.Create(opts.out)
-	if err != nil {
-		return err
-	}
-	if err := platform.WriteBundle(f, entries); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(opts.out, func(w io.Writer) error { return platform.WriteBundle(w, entries) }); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d-GPU recording bundle to %s\n", len(entries), opts.out)

@@ -1,10 +1,10 @@
 package gpurelay
 
-// Incremental-checkpoint and fleet warm-start acceptance tests (PR9): the
-// chaos matrix rerun with epoch-chained captures (crash mid-epoch, resume
-// from the stitched chain, byte-identical recording at GOMAXPROCS 1 and 8),
-// the forced-conflict rollback path, the shed-aware admission retry, and
-// the validated-commit history exchange between services.
+// Epoch-chain checkpoint and fleet warm-start acceptance tests: the chaos
+// matrix at GOMAXPROCS 1 and 8 (crash mid-chain, resume from the stitched
+// chain, byte-identical recording), checkpointing under an injected
+// misprediction rollback, the shed-aware admission retry, and the
+// validated-commit history exchange between services.
 
 import (
 	"bytes"
@@ -23,8 +23,8 @@ import (
 // TestChaosIncrementalCheckpoint is the chaos matrix's incremental variant:
 // every fault plan kills the session mid-epoch, the resume stitches the
 // epoch chain back into a full checkpoint, and the final recording must be
-// byte-identical to an undisturbed run — at GOMAXPROCS 1 and 8, since the
-// staged-capture protocol must not let host scheduling leak into the chain.
+// byte-identical to an undisturbed run — at GOMAXPROCS 1 and 8, since host
+// scheduling must not leak into the chain.
 func TestChaosIncrementalCheckpoint(t *testing.T) {
 	base, _, err := NewClient("epoch-base", MaliG71MP8).Record(NewService(), MNIST(), RecordOptions{})
 	if err != nil {
@@ -45,8 +45,7 @@ func TestChaosIncrementalCheckpoint(t *testing.T) {
 				svc := NewService()
 				rec, stats, err := NewClient("epoch-chaos", MaliG71MP8).RecordResumable(
 					context.Background(), svc, MNIST(), ResilienceOptions{
-						Faults:   plan,
-						CkptMode: CkptIncremental,
+						Faults: plan,
 					})
 				if err != nil {
 					t.Fatalf("chaos record: %v", err)
@@ -73,16 +72,13 @@ func TestChaosIncrementalCheckpoint(t *testing.T) {
 	}
 }
 
-// TestIncrementalConflictRollback forces the staged-capture validation to
-// fail: an injected misprediction between two job boundaries changes the
-// rollback count the staged epoch was validated against, so the capturer
-// must discard the stage and fall back to a clean synchronous capture —
-// and the recording must still come out identical to a run of the same
-// session without incremental capture.
+// TestIncrementalConflictRollback checkpoints a session through a §4.2
+// misprediction rollback: an injected misprediction replays the log between
+// two job boundaries, and the recording must still come out identical to a
+// run of the same session without checkpointing.
 func TestIncrementalConflictRollback(t *testing.T) {
-	// Commit 200 lands between a staged boundary and its validation (the
-	// session's earlier speculated commits fire before the first epoch is
-	// staged, so injecting there would be folded into the stage itself).
+	// Commit 200 lands between two job boundaries, after the session's first
+	// epochs were captured.
 	const inject = 200
 	base, _, err := NewClient("conflict-base", MaliG71MP8).Record(NewService(), MNIST(),
 		RecordOptions{InjectMispredictionAt: inject})
@@ -92,27 +88,26 @@ func TestIncrementalConflictRollback(t *testing.T) {
 	rec, stats, err := NewClient("conflict", MaliG71MP8).RecordResumable(
 		context.Background(), NewService(), MNIST(), ResilienceOptions{
 			RecordOptions: RecordOptions{InjectMispredictionAt: inject},
-			CkptMode:      CkptIncremental,
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CkptConflicts < 1 {
-		t.Fatalf("injected misprediction produced %d capture conflicts, want >= 1", stats.CkptConflicts)
+	if stats.Shim.Mispredictions < 1 {
+		t.Fatalf("injected misprediction did not fire (%d mispredictions)", stats.Shim.Mispredictions)
 	}
 	if stats.CkptEpochs == 0 {
-		t.Fatal("capturer did not recover after the conflict (0 epochs committed)")
+		t.Fatal("checkpointing captured no epochs")
 	}
 	basePayload, _, _ := base.Bundle()
 	payload, _, _ := rec.Bundle()
 	if !bytes.Equal(basePayload, payload) {
-		t.Fatal("conflict fallback perturbed the recording")
+		t.Fatal("checkpointing across the rollback perturbed the recording")
 	}
 }
 
-// TestIncrementalExternalResume is the grtrecord -ckpt-mode incremental
-// flow: the OnCheckpoint consumer receives stitched full checkpoints built
-// from the epoch chain, and the last one (written out and reloaded as if by
+// TestIncrementalExternalResume is the grtrecord -ckpt flow: the
+// OnCheckpoint consumer receives full checkpoints stitched from the epoch
+// chain, and the last one (written out and reloaded as if by
 // a new process) resumes the session to a recording identical to an
 // uninterrupted run.
 func TestIncrementalExternalResume(t *testing.T) {
@@ -127,7 +122,6 @@ func TestIncrementalExternalResume(t *testing.T) {
 		context.Background(), NewService(), MNIST(), ResilienceOptions{
 			Faults:     plan,
 			MaxResumes: -1,
-			CkptMode:   CkptIncremental,
 			OnCheckpoint: func(cp *Checkpoint) {
 				mu.Lock()
 				last = cp
@@ -141,8 +135,8 @@ func TestIncrementalExternalResume(t *testing.T) {
 	if last == nil {
 		t.Fatal("no stitched checkpoint delivered before the crash")
 	}
-	// Epochs commit one boundary after they are staged, so the consumer has
-	// seen several stitched checkpoints by job 8.
+	// One epoch per job boundary: the consumer has seen several stitched
+	// checkpoints by job 8.
 	if checkpoints < 2 {
 		t.Fatalf("only %d stitched checkpoints delivered", checkpoints)
 	}

@@ -45,7 +45,7 @@ type Epoch struct {
 	// epochs breaks the fingerprint linkage.
 	Parent [32]byte
 	// Job is the 0-based index of the last fully completed job this epoch
-	// describes (the boundary it was staged at).
+	// describes (the boundary it was captured at).
 	Job int
 	// StartEvent is the log offset of Events[0]: the number of events the
 	// chain's earlier epochs already carry.

@@ -20,6 +20,9 @@ const (
 	// multiMagic marks an N-GPU platform bundle (N ≥ 2): magic, a uint32
 	// GPU count, then each GPU's three chunks in GPU order.
 	multiMagic = "GRTP"
+	// ckptMagic marks grtrecord's saved checkpoint: one entry (sealed
+	// checkpoint payload, MAC, session key) in the single-GPU layout.
+	ckptMagic = "GRTC"
 )
 
 // maxBundleChunk bounds one decoded chunk, mirroring the fail-closed
@@ -30,8 +33,8 @@ const maxBundleChunk = 1 << 30
 // maxBundleSessions bounds the per-GPU session count a bundle may declare.
 const maxBundleSessions = 4096
 
-// Entry is one GPU's share of a bundle: the signed recording payload, its
-// HMAC, and the session key that verifies it (bundled for the demo CLIs —
+// Entry is one GPU's share of a bundle (or a saved checkpoint): the signed
+// payload, its HMAC, and the session key that verifies it (bundled for the demo CLIs —
 // a real deployment keeps keys in the TEE's secure storage, exactly as
 // grtrecord notes for the single-GPU format).
 type Entry struct {
@@ -65,6 +68,26 @@ func WriteBundle(w io.Writer, entries []Entry) error {
 		}
 	}
 	return nil
+}
+
+// WriteCheckpoint serializes one sealed checkpoint as a "GRTC" file.
+func WriteCheckpoint(w io.Writer, e Entry) error {
+	if _, err := io.WriteString(w, ckptMagic); err != nil {
+		return err
+	}
+	return writeEntry(w, e)
+}
+
+// ReadCheckpoint parses a "GRTC" file, bounded like ReadBundle.
+func ReadCheckpoint(r io.Reader) (Entry, error) {
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return Entry{}, fmt.Errorf("platform: reading checkpoint magic: %w", err)
+	}
+	if string(magic) != ckptMagic {
+		return Entry{}, fmt.Errorf("platform: not a checkpoint file (magic %q)", magic)
+	}
+	return readEntry(r)
 }
 
 func writeEntry(w io.Writer, e Entry) error {
@@ -122,7 +145,7 @@ func readEntry(r io.Reader) (Entry, error) {
 			return nil, err
 		}
 		if n > maxBundleChunk {
-			return nil, fmt.Errorf("platform: bundle chunk of %d bytes exceeds limit", n)
+			return nil, fmt.Errorf("platform: bundle chunk of %d bytes exceeds the %d-byte limit", n, maxBundleChunk)
 		}
 		b := make([]byte, n)
 		if _, err := io.ReadFull(r, b); err != nil {

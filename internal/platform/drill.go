@@ -14,7 +14,6 @@ import (
 	"slices"
 	"time"
 
-	"gpurelay/internal/ckpt"
 	"gpurelay/internal/cloud"
 	"gpurelay/internal/faultsim"
 	"gpurelay/internal/gpumem"
@@ -85,9 +84,6 @@ type DrillOptions struct {
 	HealthPlan *faultsim.Plan
 	// FaultEvery afflicts every k-th session (0 → 4; 1 afflicts all).
 	FaultEvery int
-	// Incremental resumes lost sessions from an epoch-chained incremental
-	// checkpoint chain instead of a full capture per job.
-	Incremental bool
 
 	// Clients is the number of cache-mode arrivals; > 0 selects the mode.
 	Clients int
@@ -141,8 +137,8 @@ func (o DrillOptions) resolve() (DrillOptions, string, error) {
 		return reject("bad_shards", "%d shards of capacity %d", o.Shards, o.ShardCapacity)
 	case o.Clients == 0 && cacheOpts:
 		return reject("needs_clients", "shard options configure the cache mode, which needs clients")
-	case o.HealthPlan == nil && (o.FaultEvery != 0 || o.Incremental):
-		return reject("needs_health_plan", "the fault stride and checkpoint mode need a health plan")
+	case o.HealthPlan == nil && o.FaultEvery != 0:
+		return reject("needs_health_plan", "the fault stride needs a health plan")
 	case o.Clients > 0 && o.HealthPlan != nil:
 		return reject("shard_conflict", "the health mode admits one session per GPU; it cannot combine with the cache front")
 	case o.Engine != nil && !serial && (o.Clients > 0 || o.HealthPlan != nil):
@@ -497,24 +493,15 @@ func (d *drill) session(tm timesim.Time, i int, warm map[string]shim.Outcome, fa
 		Clock:                 tm,
 	}
 	books := cloud.DeviceBooks{Flight: d.flight, Session: id}
-	var last *ckpt.Checkpoint
+	var resume record.Resumer
 	for attempt := 0; ; attempt++ {
 		if warm != nil {
 			// Each attempt seeds its own copy, as a fresh history would be.
 			cfg.History = shim.NewHistory(3)
 			cfg.History.WarmStart(warm)
 		}
-		var chain *ckpt.Chain
 		if faults != nil {
-			cfg.Resume = last
-			if d.opts.Incremental {
-				ch := &ckpt.Chain{}
-				chain = ch
-				cfg.CkptMode = record.CkptIncremental
-				cfg.OnEpoch = func(e *ckpt.Epoch) { _ = ch.Append(e) }
-			} else {
-				cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) { last = cp }
-			}
+			resume.Arm(&cfg, nil)
 		}
 		res, err := record.RunContext(d.ctx, cfg)
 		vm := d.vms[i]
@@ -531,13 +518,7 @@ func (d *drill) session(tm timesim.Time, i int, warm map[string]shim.Outcome, fa
 		books.Lost(vm.Device, err, tm.Now(), attempt)
 		d.mgr.Crash(vm)
 		d.vms[i] = nil
-		if chain != nil && chain.Tip() != nil {
-			// Under incremental capture the resume point is stitched from
-			// the epoch chain — the only O(session) stitch the drill pays.
-			if cp, serr := chain.Stitch(); serr == nil {
-				last = cp
-			}
-		}
+		resume.Lost()
 		if attempt >= drillMaxResumes {
 			return nil, fmt.Errorf("platform: drill session %d lost after %d attempts: %w", i, attempt+1, err)
 		}

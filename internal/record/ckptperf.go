@@ -2,12 +2,12 @@ package record
 
 // Checkpoint-capture benchmark harness: drives the REAL capture machinery —
 // dirty-aware metastate capture (gpumem.CaptureState), the cached memsync
-// fingerprint (snapFPCached), the epoch capturer's stage/validate protocol,
-// and the checkpoint/epoch wire codecs and seals — over a synthetic
-// steady-state session built on the gpumem footprint fixtures, without the
-// driver stack or the network in the way. cmd/grtbench -perf uses it to pin
-// full vs. incremental capture cost (BENCH_PR9.json), and the alloc-budget
-// test gates the incremental boundary's allocation count.
+// fingerprint (snapFPCached), the epoch capturer, and the checkpoint/epoch
+// wire codecs and seals — over a synthetic steady-state session built on
+// the gpumem footprint fixtures, without the driver stack or the network in
+// the way. cmd/grtbench -perf uses it to pin epoch capture cost against a
+// whole-checkpoint reference (BENCH_PR9.json), and the alloc-budget test
+// gates the epoch boundary's allocation count.
 
 import (
 	"fmt"
@@ -19,14 +19,13 @@ import (
 )
 
 // CkptPerf is one synthetic record session whose only variable cost is
-// checkpoint capture. Each Boundary models one completed job: the fixture's
+// checkpoint capture. Each boundary models one completed job: the fixture's
 // inter-job mutation pattern dirties the pool, the append-only event log
 // grows by a fixed delta, the memsync capture state advances (the ambient
-// work both capture modes share), and then the selected checkpoint path
-// runs — a full snapshotCheckpoint-equivalent capture + seal, or one
-// epochCapturer boundary with per-epoch sealing.
+// work every capture shares), and then a capture runs — one epochCapturer
+// boundary with per-epoch sealing, or, as the reference the epoch cost is
+// gated against, a whole-session checkpoint capture + seal.
 type CkptPerf struct {
-	mode         CkptMode
 	jobs         int
 	eventsPerJob int
 
@@ -42,23 +41,21 @@ type CkptPerf struct {
 	hdr       ckpt.Epoch
 
 	// Per-session state (Reset starts a new session).
-	job     int
-	cs      gpumem.CaptureState
-	cache   map[string]regionFP
-	mispred int
-	ec      *epochCapturer
+	job   int
+	cs    gpumem.CaptureState
+	cache map[string]regionFP
+	ec    *epochCapturer
 
 	// Accumulated results.
-	sealed    int64
-	captures  int
-	conflicts int
+	sealed   int64
+	captures int
 }
 
 // NewCkptPerf builds the harness for one footprint. jobs bounds how many
 // boundaries one session may run (0 → the spec's kernel count);
 // eventsPerJob sizes the per-job log delta (0 → 96, the order the OursMDS
 // recorder logs per job on the evaluation workloads).
-func NewCkptPerf(spec gpumem.FootprintSpec, mode CkptMode, jobs, eventsPerJob int) (*CkptPerf, error) {
+func NewCkptPerf(spec gpumem.FootprintSpec, jobs, eventsPerJob int) (*CkptPerf, error) {
 	if jobs <= 0 {
 		jobs = spec.Kernels
 	}
@@ -70,7 +67,7 @@ func NewCkptPerf(spec gpumem.FootprintSpec, mode CkptMode, jobs, eventsPerJob in
 		return nil, err
 	}
 	p := &CkptPerf{
-		mode: mode, jobs: jobs, eventsPerJob: eventsPerJob,
+		jobs: jobs, eventsPerJob: eventsPerJob,
 		fp: fp, regions: fp.Regions,
 		key: []byte("grt-ckptperf-session-key-000001"),
 	}
@@ -129,21 +126,16 @@ func (p *CkptPerf) Reset() {
 	p.job = 0
 	p.cs = gpumem.CaptureState{}
 	p.cache = make(map[string]regionFP)
-	p.mispred = 0
-	p.ec = nil
-	if p.mode == CkptIncremental {
-		p.ec = &epochCapturer{
-			cadence:    1,
-			hdr:        p.hdr,
-			onEpoch:    p.sealEpoch,
-			eventCount: func() int { return p.job * p.eventsPerJob },
-			events:     func(lo, hi int) []trace.Event { return p.eventsAll[lo:hi] },
-			structFP:   func() string { return p.structFP },
-			metaFP:     p.metaFP,
-			regions:    func() []trace.RegionInfo { return p.regInfo },
-			mispred:    func() int { return p.mispred },
-			histSigs:   func() uint32 { return 7 },
-		}
+	p.ec = &epochCapturer{
+		cadence:    1,
+		hdr:        p.hdr,
+		onEpoch:    p.sealEpoch,
+		eventCount: func() int { return p.job * p.eventsPerJob },
+		events:     func(lo, hi int) []trace.Event { return p.eventsAll[lo:hi] },
+		structFP:   func() string { return p.structFP },
+		metaFP:     p.metaFP,
+		regions:    func() []trace.RegionInfo { return p.regInfo },
+		histSigs:   func() uint32 { return 7 },
 	}
 }
 
@@ -161,31 +153,31 @@ func (p *CkptPerf) sealEpoch(e *ckpt.Epoch) {
 	p.captures++
 }
 
-// InjectConflict makes the next staged validation fail (the §4.2-rollback
-// conflict signal), forcing the capturer onto its clean-capture fallback —
-// the deterministic lever the conflict-path tests use.
-func (p *CkptPerf) InjectConflict() { p.mispred++ }
-
-// Boundary runs one job boundary. Panics past the session's job budget —
-// call Reset to start the next session.
-func (p *CkptPerf) Boundary() {
+// advance models one completed job up to the capture. Panics past the
+// session's job budget — call Reset to start the next session.
+func (p *CkptPerf) advance() {
 	if p.job >= p.jobs {
 		panic("record: CkptPerf session exceeded its job budget")
 	}
 	p.job++
 	p.fp.DirtySome(uint64(p.job))
-	// Ambient memsync work both modes share: the boundary's dirty-aware
+	// Ambient memsync work every capture shares: the boundary's dirty-aware
 	// metastate capture keeps CaptureState.Prev (the delta base the
 	// fingerprint describes) advancing exactly as the live syncer does.
 	snap := p.cs.Capture(p.fp.Pool, p.regions, gpumem.MetastateOnly)
 	p.cs.Commit(snap)
-	if p.ec != nil {
-		p.ec.boundary(p.job - 1)
-		p.conflicts = p.ec.conflicts
-		return
-	}
-	// Full capture: copy the whole log window, fingerprint, marshal, seal —
-	// snapshotCheckpoint plus the sealing its consumers always pay.
+}
+
+// Boundary runs one job boundary through the epoch capturer.
+func (p *CkptPerf) Boundary() {
+	p.advance()
+	p.ec.boundary(p.job - 1)
+}
+
+// wholeBoundary runs one job boundary through the whole-checkpoint
+// reference: copy the whole log window, fingerprint, marshal, seal.
+func (p *CkptPerf) wholeBoundary() {
+	p.advance()
 	out, in := p.metaFP()
 	cp := &ckpt.Checkpoint{
 		SessionID: p.hdr.SessionID, Workload: p.hdr.Workload,
@@ -204,13 +196,21 @@ func (p *CkptPerf) Boundary() {
 	p.captures++
 }
 
-// RunSession records one full synthetic session: every boundary captured at
-// cadence 1, plus one final boundary flush for the incremental mode's
-// one-boundary staging lag.
+// RunSession records one synthetic session, capturing an epoch at every
+// boundary.
 func (p *CkptPerf) RunSession() {
 	p.Reset()
 	for j := 0; j < p.jobs; j++ {
 		p.Boundary()
+	}
+}
+
+// RunWholeSession records one synthetic session through the
+// whole-checkpoint reference at every boundary.
+func (p *CkptPerf) RunWholeSession() {
+	p.Reset()
+	for j := 0; j < p.jobs; j++ {
+		p.wholeBoundary()
 	}
 }
 
@@ -219,8 +219,5 @@ func (p *CkptPerf) RunSession() {
 // live result the compiler cannot discard.
 func (p *CkptPerf) Sealed() int64 { return p.sealed }
 
-// Captures reports sealed captures (full checkpoints or epochs).
+// Captures reports sealed captures (whole checkpoints or epochs).
 func (p *CkptPerf) Captures() int { return p.captures }
-
-// Conflicts reports staged captures discarded on validation conflict.
-func (p *CkptPerf) Conflicts() int { return p.conflicts }

@@ -6,9 +6,9 @@ import (
 	"gpurelay/internal/gpumem"
 )
 
-func newPerf(t testing.TB, mode CkptMode, jobs, perJob int) *CkptPerf {
+func newPerf(t testing.TB, jobs, perJob int) *CkptPerf {
 	t.Helper()
-	p, err := NewCkptPerf(gpumem.MNISTFootprint, mode, jobs, perJob)
+	p, err := NewCkptPerf(gpumem.MNISTFootprint, jobs, perJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,57 +16,25 @@ func newPerf(t testing.TB, mode CkptMode, jobs, perJob int) *CkptPerf {
 }
 
 func TestCkptPerfFullCapturesEveryBoundary(t *testing.T) {
-	p := newPerf(t, CkptFull, 12, 16)
-	p.RunSession()
+	p := newPerf(t, 12, 16)
+	p.RunWholeSession()
 	if p.Captures() != 12 {
-		t.Fatalf("full mode sealed %d captures, want 12", p.Captures())
+		t.Fatalf("whole-checkpoint reference sealed %d captures, want 12", p.Captures())
 	}
 	if p.Sealed() == 0 {
-		t.Fatal("full mode sealed zero bytes")
+		t.Fatal("whole-checkpoint reference sealed zero bytes")
 	}
 }
 
 func TestCkptPerfIncrementalCommitsChain(t *testing.T) {
-	p := newPerf(t, CkptIncremental, 12, 16)
+	p := newPerf(t, 12, 16)
 	p.RunSession()
-	// Base epoch at the first boundary, then staged commits landing one
-	// boundary late: the final staged capture is still in flight when the
-	// session ends, so jobs-1 epochs seal.
-	if p.Captures() != 11 {
-		t.Fatalf("incremental mode sealed %d epochs, want 11", p.Captures())
-	}
-	if p.Conflicts() != 0 {
-		t.Fatalf("undisturbed session hit %d conflicts, want 0", p.Conflicts())
+	// One epoch per boundary, sealed as it is captured.
+	if p.Captures() != 12 {
+		t.Fatalf("epoch capture sealed %d epochs, want 12", p.Captures())
 	}
 	if p.Sealed() == 0 {
-		t.Fatal("incremental mode sealed zero bytes")
-	}
-}
-
-func TestCkptPerfConflictFallsBackToCleanCapture(t *testing.T) {
-	p := newPerf(t, CkptIncremental, 12, 16)
-	p.Reset()
-	p.Boundary() // base epoch (clean)
-	p.Boundary() // stages boundary 1
-	p.InjectConflict()
-	p.Boundary() // validation fails -> conflict + clean capture of boundary 2
-	if p.Conflicts() != 1 {
-		t.Fatalf("conflicts = %d, want 1", p.Conflicts())
-	}
-	// base + the conflict's clean fallback sealed; the discarded stage did
-	// not.
-	if p.Captures() != 2 {
-		t.Fatalf("captures = %d, want 2", p.Captures())
-	}
-	before := p.Captures()
-	p.Boundary() // stages boundary 3 (nothing seals yet)
-	p.Boundary() // validates + commits it
-	if p.Captures() != before+1 {
-		t.Fatalf("capturer did not recover after conflict: captures = %d, want %d",
-			p.Captures(), before+1)
-	}
-	if p.Conflicts() != 1 {
-		t.Fatalf("conflicts = %d after recovery, want still 1", p.Conflicts())
+		t.Fatal("epoch capture sealed zero bytes")
 	}
 }
 
@@ -78,7 +46,7 @@ func TestCkptPerfConflictFallsBackToCleanCapture(t *testing.T) {
 // seal) but fails loudly if a session-sized copy sneaks back in.
 func TestIncrementalCaptureAllocBudget(t *testing.T) {
 	const allocBudget = 48
-	p := newPerf(t, CkptIncremental, 64, 32)
+	p := newPerf(t, 64, 32)
 	p.Reset()
 	for j := 0; j < 16; j++ { // warm: base epoch, caches, buffer pools
 		p.Boundary()
@@ -92,19 +60,19 @@ func TestIncrementalCaptureAllocBudget(t *testing.T) {
 }
 
 func BenchmarkCkptCaptureFull(b *testing.B) {
-	p, err := NewCkptPerf(gpumem.MNISTFootprint, CkptFull, 0, 0)
+	p, err := NewCkptPerf(gpumem.MNISTFootprint, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.RunSession()
+		p.RunWholeSession()
 	}
 	b.SetBytes(p.Sealed() / int64(b.N))
 }
 
 func BenchmarkCkptCaptureIncremental(b *testing.B) {
-	p, err := NewCkptPerf(gpumem.MNISTFootprint, CkptIncremental, 0, 0)
+	p, err := NewCkptPerf(gpumem.MNISTFootprint, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,30 +1,16 @@
 package record
 
-// Concurrent incremental checkpoint capture (DESIGN.md §14). The full
-// checkpoint path (snapshotCheckpoint) stops the session at a job boundary
-// and re-serializes the whole interaction log; the epoch capturer instead
-// STAGES a capture at one boundary — cheap references only: the log length,
-// the structural region fingerprint, the memsync fingerprints (incremental
-// via the per-region hash cache), and the shim's misprediction count — and
-// lets the heavy serialization ride concurrently with the next job's
-// execution, VALIDATING the staged references at the following boundary
-// before committing the epoch. Two things can tear a capture that reads the
-// session's state while the session keeps running, and both are detected
-// deterministically:
-//
-//   - the region map changed under the capture (structural fingerprint
-//     moved), so a staged region-table read would be torn — common during
-//     model build-up, gone at steady state;
-//   - a §4.2 speculation rollback replayed the log concurrently with the
-//     staged read (misprediction count moved).
-//
-// On conflict the staged capture is discarded and a clean, synchronous
-// capture at the current boundary takes its place — correctness never
-// depends on the optimistic path. The event-log delta itself is always safe
-// to reference: the shim's log is append-only (even under speculation — the
-// log only ever holds actual GPU responses) and event payloads are immutable
-// after append, so a [start:end) window staged at one boundary denotes the
-// same bytes forever.
+// Job-boundary checkpoint capture (DESIGN.md §14). GR-T runs one job at a
+// time and synchronizes memory only at job edges (§5), so a completed job
+// boundary is a quiet point: nothing else touches the session while a
+// checkpoint is taken there. The capturer takes one epoch synchronously at
+// every cadence-th boundary. An epoch carries only what changed since its
+// parent — a window of the shim's event log, the memsync fingerprints
+// (incremental via the per-region hash cache), and the region map only when
+// it structurally changed — so its cost follows the delta, not the session.
+// The window needs no copy: the log is append-only (even under speculation
+// it only ever holds actual GPU responses) and event payloads are immutable
+// after append, so [start:end) denotes the same bytes forever.
 
 import (
 	"gpurelay/internal/ckpt"
@@ -32,29 +18,9 @@ import (
 	"gpurelay/internal/trace"
 )
 
-// CkptMode selects the checkpoint capture strategy.
-type CkptMode int
-
-const (
-	// CkptFull captures a complete, self-contained Checkpoint at every
-	// cadence boundary (the PR3 stop-the-world path). The default.
-	CkptFull CkptMode = iota
-	// CkptIncremental captures epoch-chained deltas concurrently with job
-	// execution, validating each staged capture at the next boundary.
-	CkptIncremental
-)
-
-func (m CkptMode) String() string {
-	if m == CkptIncremental {
-		return "incremental"
-	}
-	return "full"
-}
-
-// epochCapturer runs the stage/validate/commit protocol. Its inputs are
-// provider closures rather than concrete session types so the capture hot
-// path can also be driven by the perf fixtures (ckptperf.go) exactly as the
-// live session drives it.
+// epochCapturer builds a session's epoch chain. Its inputs are provider
+// closures rather than concrete session types so the perf fixture
+// (ckptperf.go) drives the capture hot path exactly as the live session does.
 type epochCapturer struct {
 	cadence int // boundaries between captures; >= 1
 	hdr     ckpt.Epoch
@@ -66,136 +32,90 @@ type epochCapturer struct {
 	structFP   func() string
 	metaFP     func() (out, in uint64)
 	regions    func() []trace.RegionInfo
-	mispred    func() int
 	histSigs   func() uint32
 
-	// Chain state.
-	seq         uint32
-	chainEvents int
-	lastEpoch   *ckpt.Epoch
-	prevStruct  string
-	sinceCap    int
-
-	// Staged capture (valid when staged is true).
-	staged    bool
-	stJob     int
-	stEvents  int
-	stStruct  string
-	stOutFP   uint64
-	stInFP    uint64
-	stSigs    uint32
-	stMispred int
-
-	conflicts int
-	epochs    int
+	tip        *ckpt.Epoch // the newest epoch; nil before the base
+	prevStruct string
+	sinceCap   int
+	epochs     int
 }
 
-// boundary runs the protocol at a completed job boundary. It never advances
-// the virtual clock and never mutates session state — recordings are
-// byte-identical with the capturer on or off.
+// boundary runs at a completed job boundary and captures an epoch at every
+// cadence-th one. It never advances the virtual clock and never mutates
+// session state — recordings are byte-identical with checkpointing on or off.
 func (ec *epochCapturer) boundary(job int) {
-	if ec.staged {
-		ec.staged = false
-		if ec.mispred() != ec.stMispred || ec.structFP() != ec.stStruct {
-			// The concurrent capture raced a rollback or a region-map
-			// change: discard it and fall back to a clean capture of the
-			// current boundary.
-			ec.conflicts++
-			ec.scope.Count(obs.MCkptEpochConflicts, 1)
-			ec.scope.Emit(obs.FKCkptConflict, "rollback",
-				obs.A("staged_job", int64(ec.stJob)), obs.A("job", int64(job)))
-			ec.captureClean(job)
-			ec.sinceCap = 0
-			return
-		}
-		ec.commit(ec.stJob, ec.stEvents, ec.stStruct, ec.stOutFP, ec.stInFP,
-			ec.stSigs, "staged")
-	}
-	ec.sinceCap++
-	if ec.sinceCap < ec.cadence {
+	if ec.sinceCap++; ec.sinceCap < ec.cadence {
 		return
 	}
 	ec.sinceCap = 0
-	if ec.lastEpoch == nil {
-		// The chain's base epoch is captured synchronously — there is
-		// nothing earlier to overlap with, and a full base is what anchors
-		// the fingerprint chain.
-		ec.captureClean(job)
-		return
-	}
-	ec.stage(job)
-}
-
-// stage records the cheap boundary references the deferred capture will be
-// validated against. metaFP is incremental (per-region hash cache), so the
-// cost here is proportional to what the last job actually dirtied.
-func (ec *epochCapturer) stage(job int) {
-	ec.staged = true
-	ec.stJob = job
-	ec.stEvents = ec.eventCount()
-	ec.stStruct = ec.structFP()
-	ec.stOutFP, ec.stInFP = ec.metaFP()
-	ec.stSigs = ec.histSigs()
-	ec.stMispred = ec.mispred()
-}
-
-// captureClean captures the current boundary synchronously (base epochs and
-// conflict fallbacks).
-func (ec *epochCapturer) captureClean(job int) {
-	out, in := ec.metaFP()
-	ec.commit(job, ec.eventCount(), ec.structFP(), out, in, ec.histSigs(), "clean")
-}
-
-// commit materializes one epoch and hands it to the session. The events
-// window is a shallow subslice of the append-only log — O(1), stable — and
-// the region map travels only when it structurally changed since the
-// previous epoch.
-func (ec *epochCapturer) commit(job, upto int, structFP string, outFP, inFP uint64,
-	sigs uint32, capture string) {
-	e := &ckpt.Epoch{
-		SessionID:  ec.hdr.SessionID,
-		Workload:   ec.hdr.Workload,
-		ProductID:  ec.hdr.ProductID,
-		PoolSize:   ec.hdr.PoolSize,
-		ClientSeed: ec.hdr.ClientSeed,
-		Variant:    ec.hdr.Variant,
-		Network:    ec.hdr.Network,
-
-		Seq:         ec.seq,
-		Job:         job,
-		StartEvent:  ec.chainEvents,
-		Events:      ec.events(ec.chainEvents, upto),
-		SyncOutFP:   outFP,
-		SyncInFP:    inFP,
-		HistorySigs: sigs,
-	}
-	if ec.lastEpoch == nil || structFP != ec.prevStruct {
-		e.Regions = ec.regions()
-	}
-	if ec.lastEpoch != nil {
-		// Fingerprint is cached on the parent after its first computation
-		// (Chain.Append on the consumer side usually already paid it).
-		fp, err := ec.lastEpoch.Fingerprint()
+	e := ec.hdr
+	e.Job = job
+	if tip := ec.tip; tip != nil {
+		// The fingerprint is cached on the parent after its first
+		// computation (sealing the parent usually already paid it).
+		fp, err := tip.Fingerprint()
 		if err != nil {
-			// Serialization of an already-committed epoch cannot fail
-			// unless the session is corrupt beyond checkpointing; drop the
-			// capture rather than the session.
-			ec.staged = false
+			// Serialization of an already-captured epoch cannot fail unless
+			// the session is corrupt beyond checkpointing; drop the capture
+			// rather than the session.
 			return
 		}
-		e.Parent = fp
+		e.Seq, e.Parent, e.StartEvent = tip.Seq+1, fp, tip.StartEvent+len(tip.Events)
 	}
-	ec.prevStruct = structFP
-	ec.chainEvents = upto
-	ec.seq++
+	e.Events = ec.events(e.StartEvent, ec.eventCount())
+	e.SyncOutFP, e.SyncInFP = ec.metaFP()
+	e.HistorySigs = ec.histSigs()
+	if structFP := ec.structFP(); ec.tip == nil || structFP != ec.prevStruct {
+		e.Regions = ec.regions()
+		ec.prevStruct = structFP
+	}
+	ec.tip = &e
 	ec.epochs++
-	ec.lastEpoch = e
-	ec.scope.Count(obs.MCkptEpochs, 1, obs.L("capture", capture))
+	ec.scope.Count(obs.MCkptEpochs, 1)
 	ec.scope.Count(obs.MCkptEpochEvents, int64(len(e.Events)))
-	ec.scope.Emit(obs.FKCkptEpoch, capture,
+	ec.scope.Emit(obs.FKCheckpoint, "capture",
 		obs.A("seq", int64(e.Seq)), obs.A("job", int64(job)),
 		obs.A("events", int64(len(e.Events))))
-	if ec.onEpoch != nil {
-		ec.onEpoch(e)
+	ec.onEpoch(&e)
+}
+
+// Resumer carries one logical session's resume point across record
+// attempts. Each attempt captures into a fresh epoch chain — a resumed
+// attempt re-derives the whole log, so its base epoch is self-contained
+// again — and a lost attempt's chain is stitched into the checkpoint the
+// next attempt resumes from.
+type Resumer struct {
+	// Last is the checkpoint the next attempt resumes from; nil starts the
+	// session from its first job.
+	Last  *ckpt.Checkpoint
+	chain ckpt.Chain
+}
+
+// Arm points cfg's next attempt at Last and turns checkpointing on: every
+// epoch the attempt captures is appended to a fresh chain, then handed to
+// onEpoch when it is non-nil.
+func (r *Resumer) Arm(cfg *Config, onEpoch func(*ckpt.Epoch)) {
+	r.chain = ckpt.Chain{}
+	cfg.Resume = r.Last
+	cfg.OnEpoch = func(e *ckpt.Epoch) {
+		if r.chain.Append(e) != nil {
+			return // a capture that does not chain is dropped, not fatal
+		}
+		if onEpoch != nil {
+			onEpoch(e)
+		}
 	}
 }
+
+// Checkpoint stitches the current attempt's chain into a resumable
+// checkpoint — O(session), unlike a capture; before the attempt's first
+// capture it is Last.
+func (r *Resumer) Checkpoint() *ckpt.Checkpoint {
+	if cp, err := r.chain.Stitch(); err == nil {
+		return cp
+	}
+	return r.Last
+}
+
+// Lost moves the resume point to the lost attempt's newest capture.
+func (r *Resumer) Lost() { r.Last = r.Checkpoint() }

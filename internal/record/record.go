@@ -112,24 +112,15 @@ type Config struct {
 	// (§4.2 replay), verifies every event, and continues recording from
 	// the checkpointed job boundary.
 	Resume *ckpt.Checkpoint
-	// OnCheckpoint, when non-nil, receives a checkpoint after every fully
-	// completed job (skipping jobs a Resume already covers). The callback
-	// runs inside the session; it must not block.
-	OnCheckpoint func(*ckpt.Checkpoint)
-	// CkptMode selects the capture strategy when checkpointing is on:
-	// CkptFull drives OnCheckpoint with self-contained checkpoints;
-	// CkptIncremental drives OnEpoch with epoch-chained deltas captured
-	// concurrently with job execution (DESIGN.md §14).
-	CkptMode CkptMode
-	// CkptCadence is the number of completed jobs between captures; 0 and 1
-	// both mean every job.
+	// CkptCadence is the number of completed jobs between checkpoint
+	// captures; 0 and 1 both mean every job.
 	CkptCadence int
-	// OnEpoch, when non-nil and CkptMode is CkptIncremental, receives each
-	// committed incremental epoch. Epochs arrive one boundary late (staged
-	// at boundary j, validated and delivered at j+1) except for base epochs
-	// and conflict fallbacks, which are captured synchronously. The callback
-	// runs inside the session; it must not block, and it must not mutate the
-	// epoch (its events alias the live log's immutable entries).
+	// OnEpoch, when non-nil, turns checkpointing on: at every
+	// CkptCadence-th completed job boundary past any Resume, the session
+	// synchronously captures one epoch of its checkpoint chain and hands it
+	// over (Resumer keeps the chain). The callback runs inside the session;
+	// it must not block, and it must not mutate the epoch (its events alias
+	// the live log's immutable entries).
 	OnEpoch func(*ckpt.Epoch)
 	// Clock, when non-nil, supplies the session's virtual timeline instead
 	// of a freshly created Clock. The platform layer passes an engine
@@ -174,12 +165,8 @@ type Stats struct {
 	// the resumable orchestration above this package; a single RunContext
 	// is always one attempt).
 	Resumes int
-	// CkptEpochs counts incremental checkpoint epochs committed this run;
-	// CkptConflicts counts staged captures discarded because a concurrent
-	// rollback or region-map change invalidated them (DESIGN.md §14). Both
-	// zero unless CkptMode is CkptIncremental.
-	CkptEpochs    int
-	CkptConflicts int
+	// CkptEpochs counts the checkpoint epochs captured this run.
+	CkptEpochs int
 	// Obs is the session's metrics snapshot taken at the end of the run;
 	// nil when the run was uninstrumented. The snapshot's counters agree
 	// with the aggregate fields above (e.g. grt_net_rtts_total{mode=
@@ -238,35 +225,6 @@ func (r *Result) Segments(boundaries []int) ([]*trace.Signed, []*trace.Recording
 		prevOff = off
 	}
 	return signeds, recs, nil
-}
-
-// snapshotCheckpoint captures the session at a just-completed job boundary.
-// The event log is copied (DriverShim.EventLog returns its live slice); the
-// dump payloads inside events are immutable after append and are shared.
-func snapshotCheckpoint(cfg *Config, dshim *shim.DriverShim, sync *syncer,
-	rt *mlfw.Runtime, poolSize uint64, job int) *ckpt.Checkpoint {
-	var regions []trace.RegionInfo
-	for _, r := range rt.Context().Regions() {
-		regions = append(regions, trace.RegionInfo{
-			Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA, Size: r.Size,
-		})
-	}
-	out, in := sync.metaFP()
-	return &ckpt.Checkpoint{
-		SessionID:   cfg.SessionID,
-		Workload:    cfg.Model.Name,
-		ProductID:   cfg.SKU.ProductID,
-		PoolSize:    poolSize,
-		ClientSeed:  cfg.ClientSeed,
-		Variant:     uint8(cfg.Variant),
-		Network:     cfg.Network.Name,
-		Job:         job,
-		Events:      append([]trace.Event(nil), dshim.EventLog()...),
-		Regions:     regions,
-		SyncOutFP:   out,
-		SyncInFP:    in,
-		HistorySigs: uint32(dshim.History().Signatures()),
-	}
 }
 
 // poolSizeFor sizes the shared memory for a model: its buffers plus headroom
@@ -477,14 +435,10 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		}
 		return out
 	}
-	cadence := cfg.CkptCadence
-	if cadence < 1 {
-		cadence = 1
-	}
 	var ec *epochCapturer
-	if cfg.CkptMode == CkptIncremental && cfg.OnEpoch != nil {
+	if cfg.OnEpoch != nil {
 		ec = &epochCapturer{
-			cadence: cadence,
+			cadence: max(cfg.CkptCadence, 1),
 			hdr: ckpt.Epoch{
 				SessionID: cfg.SessionID, Workload: cfg.Model.Name,
 				ProductID: cfg.SKU.ProductID, PoolSize: poolSize,
@@ -502,11 +456,9 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 			structFP: func() string { return sync.prevInFP },
 			metaFP:   sync.metaFP,
 			regions:  regionsNow,
-			mispred:  dshim.Mispredictions,
 			histSigs: func() uint32 { return uint32(dshim.History().Signatures()) },
 		}
 	}
-	sinceFull := 0
 	var jobLogOffsets []int
 	hooks := kbase.SyncHooks{
 		BeforeJobStart: func(*kbase.Context) {
@@ -534,22 +486,8 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 				}
 				cfg.Obs.Emit(obs.FKResync, "boundary_ok", obs.A("job", int64(job)))
 			}
-			if job > resumeJob && !dshim.Resyncing() {
-				if ec != nil {
-					ec.boundary(job)
-				}
-				if cfg.OnCheckpoint != nil {
-					sinceFull++
-					if sinceFull >= cadence {
-						sinceFull = 0
-						cp := snapshotCheckpoint(&cfg, dshim, sync, rt, poolSize, job)
-						cfg.Obs.Annotate("ckpt.capture", "record",
-							obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
-						cfg.Obs.Emit(obs.FKCheckpoint, "capture",
-							obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
-						cfg.OnCheckpoint(cp)
-					}
-				}
+			if ec != nil && job > resumeJob && !dshim.Resyncing() {
+				ec.boundary(job)
 			}
 			if cfg.Faults != nil {
 				if ferr := cfg.Faults.JobBoundary(job); ferr != nil {
@@ -571,18 +509,12 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	cfg.Obs.Count(obs.MRecordJobs, int64(runRes.Jobs))
 
 	// Finalize: assemble, sign, and "download" the recording.
-	var regions []trace.RegionInfo
-	for _, r := range rt.Context().Regions() {
-		regions = append(regions, trace.RegionInfo{
-			Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA, Size: r.Size,
-		})
-	}
 	rec := &trace.Recording{
 		Workload:  cfg.Model.Name,
 		ProductID: cfg.SKU.ProductID,
 		PoolSize:  poolSize,
 		Events:    dshim.EventLog(),
-		Regions:   regions,
+		Regions:   regionsNow(),
 	}
 	endPhase = cfg.Obs.Span("record.sign", "record", obs.A("events", int64(len(rec.Events))))
 	signed, err := trace.Sign(rec, cfg.SessionKey)
@@ -610,7 +542,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	}
 	if ec != nil {
 		st.CkptEpochs = ec.epochs
-		st.CkptConflicts = ec.conflicts
 	}
 	st.Energy = energy.Default().RecordThrottled(st.Link, st.GPUBusy, st.GPUThrottled, st.ClientCPU, st.RecordingDelay)
 	st.Obs = cfg.Obs.Snapshot()

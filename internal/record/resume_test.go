@@ -25,18 +25,20 @@ func TestResumedRecordingByteIdentical(t *testing.T) {
 		ClientSeed: 42, InjectMispredictionAt: -1,
 	}
 
-	// Uninterrupted reference run, sealing every per-job checkpoint the way
-	// a client would persist them.
+	// Uninterrupted reference run, sealing the checkpoint every per-job
+	// epoch stitches to, the way a client would persist them.
 	var sealed []*trace.Signed
 	cfg := base
-	cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) {
+	var r Resumer
+	r.Arm(&cfg, func(*ckpt.Epoch) {
+		cp := r.Checkpoint()
 		s, err := cp.Seal(testKey)
 		if err != nil {
 			t.Errorf("seal checkpoint at job %d: %v", cp.Job, err)
 			return
 		}
 		sealed = append(sealed, s)
-	}
+	})
 	ref, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

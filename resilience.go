@@ -66,7 +66,7 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return faultsim.ParsePlan
 func FaultPresets() []string { return faultsim.Presets() }
 
 // Checkpoint is a sealed snapshot of a record session at a job boundary.
-// RecordResumable hands one to OnCheckpoint after every completed job; a
+// RecordResumable hands one to OnCheckpoint after every capture; a
 // later process resumes the session by passing it back via
 // ResilienceOptions.Resume (round-tripping through Bundle /
 // CheckpointFromBundle to survive a client restart).
@@ -107,23 +107,6 @@ func CheckpointFromBundle(payload, mac, key []byte) (*Checkpoint, error) {
 	return &Checkpoint{cp: cp, signed: s, key: append([]byte(nil), key...)}, nil
 }
 
-// CkptMode selects the checkpoint capture strategy of a resumable record
-// run.
-type CkptMode = record.CkptMode
-
-// Checkpoint capture strategies.
-const (
-	// CkptFull captures a self-contained checkpoint at every cadence
-	// boundary — cost proportional to the whole session. The default.
-	CkptFull = record.CkptFull
-	// CkptIncremental captures epoch-chained deltas concurrently with job
-	// execution (DESIGN.md §14): each epoch carries only the events appended
-	// since its parent, staged at one job boundary and validated at the
-	// next. Resume stitches the chain back into an ordinary checkpoint
-	// transparently — recordings are byte-identical either way.
-	CkptIncremental = record.CkptIncremental
-)
-
 // ResilienceOptions tunes a resumable record run. The zero value records
 // like RecordOptions' zero value, with no injected faults, up to 3 resumes,
 // and backoff from 250ms to 8s.
@@ -147,15 +130,12 @@ type ResilienceOptions struct {
 	// losses resume automatically).
 	Resume *Checkpoint
 	// OnCheckpoint, when non-nil, receives the sealed checkpoint after
-	// every fully completed job. The callback runs inside the record
-	// session and must not block. Under CkptIncremental each delivery is a
-	// freshly stitched and sealed full checkpoint — an O(session)
-	// convenience per capture; leave it nil on hot paths (in-process
-	// resumes never need it, the chain is kept internally).
+	// every capture. The callback runs inside the record session and must
+	// not block. Each delivery is stitched from the session's epoch chain
+	// and sealed — an O(session) convenience per capture; leave it nil on
+	// hot paths (in-process resumes never need it, the chain is kept
+	// internally).
 	OnCheckpoint func(*Checkpoint)
-	// CkptMode selects full (default) or incremental epoch-chained
-	// checkpoint capture.
-	CkptMode CkptMode
 	// CkptCadence is the number of completed jobs between checkpoint
 	// captures; 0 and 1 both mean every job.
 	CkptCadence int
@@ -220,14 +200,15 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 	var (
 		seed      uint64
 		sessionID string
-		last      *ckpt.Checkpoint
+		resume    record.Resumer
 		ckptKey   []byte
 	)
 	if opts.Resume != nil {
-		last = opts.Resume.cp
+		last := opts.Resume.cp
 		if err := last.Matches(model.Name, c.SKU.ProductID); err != nil {
 			return nil, RecordStats{}, err
 		}
+		resume.Last = last
 		seed = last.ClientSeed
 		sessionID = last.SessionID
 		opts.Variant = Variant(last.Variant)
@@ -255,7 +236,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 
 	base := svc.recordConfig(c, model, opts.RecordOptions)
 	base.ClientSeed, base.SessionID, base.Faults = seed, sessionID, faults
-	base.CkptMode, base.CkptCadence = opts.CkptMode, opts.CkptCadence
+	base.CkptCadence = opts.CkptCadence
 	books := cloud.DeviceBooks{Flight: svc.flight, Session: sessionID}
 
 	for attempt := 0; ; attempt++ {
@@ -277,73 +258,35 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			ckptKey = key
 		}
 
-		var onCkpt func(*ckpt.Checkpoint)
-		var onEpoch func(*ckpt.Epoch)
-		var chain *ckpt.Chain
-		if opts.CkptMode == CkptIncremental {
-			// Each attempt grows its own chain (a fresh attempt re-derives
-			// the full log, so its base epoch is self-contained again). The
-			// stitched checkpoint is materialized lazily: on session loss,
-			// or per epoch when an OnCheckpoint consumer asked for sealed
-			// full checkpoints.
-			ch := &ckpt.Chain{}
-			chain = ch
-			onEpoch = func(e *ckpt.Epoch) {
-				if aerr := ch.Append(e); aerr != nil {
-					return // a capture that does not chain is dropped, not fatal
-				}
-				countFleet(obs.MCkptCheckpoints, 1)
-				signed, serr := e.Seal(ckptKey)
-				if serr != nil {
-					return
-				}
-				countFleet(obs.MCkptBytes, int64(len(signed.Payload)))
-				countFleet(obs.MCkptEpochBytes, int64(len(signed.Payload)))
-				if opts.OnCheckpoint == nil {
-					return
-				}
-				cp, serr := ch.Stitch()
-				if serr != nil {
-					return
-				}
-				last = cp
-				signedCp, serr := cp.Seal(ckptKey)
-				if serr != nil {
-					return
-				}
-				opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signedCp, key: ckptKey})
-			}
-		} else {
-			onCkpt = func(cp *ckpt.Checkpoint) {
-				last = cp
-				countFleet(obs.MCkptCheckpoints, 1)
-				if opts.OnCheckpoint == nil {
-					return
-				}
-				signed, serr := cp.Seal(ckptKey)
-				if serr != nil {
-					return
-				}
-				countFleet(obs.MCkptBytes, int64(len(signed.Payload)))
-				opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signed, key: ckptKey})
-			}
-		}
-
 		cfg := base
-		cfg.SessionKey, cfg.Resume, cfg.OnCheckpoint, cfg.OnEpoch = key, last, onCkpt, onEpoch
+		cfg.SessionKey = key
+		resume.Arm(&cfg, func(e *ckpt.Epoch) {
+			countFleet(obs.MCkptCheckpoints, 1)
+			if opts.Obs == nil {
+				// An instrumented session's scope counts its own epochs
+				// (double-writing them into the fleet registry).
+				svc.fleet.Add(obs.MCkptEpochs, 1)
+			}
+			signed, serr := e.Seal(ckptKey)
+			if serr != nil {
+				return
+			}
+			countFleet(obs.MCkptBytes, int64(len(signed.Payload)))
+			if opts.OnCheckpoint == nil {
+				return
+			}
+			cp := resume.Checkpoint()
+			if signed, serr = cp.Seal(ckptKey); serr != nil {
+				return
+			}
+			opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signed, key: ckptKey})
+		})
 		res, err := record.RunContext(ctx, cfg)
 		if err == nil {
 			books.Book(vm.Device, faults)
 			svc.releaseVM(vm)
 			c.clock.Advance(res.Stats.RecordingDelay)
 			res.Stats.Resumes = attempt
-			if opts.Obs == nil && res.Stats.CkptEpochs > 0 {
-				// An instrumented session's scope already double-wrote the
-				// epoch counters into the fleet registry; an uninstrumented
-				// one still lands the fleet-level totals here.
-				svc.fleet.Add(obs.MCkptEpochs, int64(res.Stats.CkptEpochs))
-				svc.fleet.Add(obs.MCkptEpochConflicts, int64(res.Stats.CkptConflicts))
-			}
 			return newRecording(res.Signed, key, res.Recording), res.Stats, nil
 		}
 		if !errors.Is(err, grterr.ErrSessionLost) {
@@ -356,23 +299,19 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			}
 			return nil, RecordStats{}, err
 		}
-		// Session lost: the VM (and its key) are gone. Under incremental
-		// capture the resume point is the chain, stitched now — this is the
-		// only place an in-process resume pays the O(session) stitch.
+		// Session lost: the VM (and its key) are gone. The resume point is
+		// the attempt's chain, stitched now — the only place an in-process
+		// resume pays the O(session) stitch.
 		books.Book(vm.Device, faults)
 		books.Lost(vm.Device, err, c.clock.Now(), attempt)
 		svc.crashVM(vm)
-		if chain != nil && chain.Tip() != nil {
-			if cp, serr := chain.Stitch(); serr == nil {
-				last = cp
-			}
+		resume.Lost()
+		lastJob := -1
+		if resume.Last != nil {
+			lastJob = resume.Last.Job
 		}
 		if attempt >= maxResumes {
 			countFleet(obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
-			lastJob := -1
-			if last != nil {
-				lastJob = last.Job
-			}
 			svc.flight.Emit(c.clock.Now(), sessionID, obs.FKResume, "gave_up",
 				obs.A("attempts", int64(attempt+1)), obs.A("last_job", int64(lastJob)))
 			return nil, RecordStats{}, fmt.Errorf(
@@ -392,15 +331,11 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		c.clock.Advance(d)
 		countFleet(obs.MFleetResumes, 1, obs.L("outcome", "resumed"))
 		observeFleet(obs.MResumeBackoff, d.Seconds())
-		resumeJob := int64(-1)
-		if last != nil {
-			resumeJob = int64(last.Job)
-		}
 		opts.Obs.Annotate("session.resume", "session",
-			obs.A("attempt", int64(attempt+1)), obs.A("from_job", resumeJob),
+			obs.A("attempt", int64(attempt+1)), obs.A("from_job", int64(lastJob)),
 			obs.A("backoff_ns", int64(d)))
 		svc.flight.Emit(c.clock.Now(), sessionID, obs.FKResume, "resumed",
-			obs.A("attempt", int64(attempt+1)), obs.A("from_job", resumeJob),
+			obs.A("attempt", int64(attempt+1)), obs.A("from_job", int64(lastJob)),
 			obs.A("backoff_ns", int64(d)))
 	}
 }

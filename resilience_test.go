@@ -566,6 +566,42 @@ func TestObsResilienceCounters(t *testing.T) {
 	}
 }
 
+// TestObsFleetEpochsScopeIndependent checks the fleet's checkpoint counts
+// do not depend on whether the session carried a scope: the same vm-crash
+// session counts every attempt's captures, lost attempt included, with or
+// without one.
+func TestObsFleetEpochsScopeIndependent(t *testing.T) {
+	plan, err := ParseFaultPlan("vm-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(scope *Scope) (epochs, checkpoints int64) {
+		svc := NewService()
+		_, stats, err := NewClient("epoch-count", MaliG71MP8).RecordResumable(
+			context.Background(), svc, MNIST(), ResilienceOptions{
+				RecordOptions: RecordOptions{Obs: scope},
+				Faults:        plan,
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Resumes != 1 {
+			t.Fatalf("resumes = %d, want 1", stats.Resumes)
+		}
+		fleet := svc.Metrics()
+		return fleet.CounterTotal(obs.MCkptEpochs), fleet.Counter(obs.MCkptCheckpoints)
+	}
+	bareEpochs, bareCkpts := counts(nil)
+	scopedEpochs, scopedCkpts := counts(NewScope("epoch-count"))
+	if bareEpochs == 0 || bareEpochs != scopedEpochs {
+		t.Fatalf("fleet epochs: %d without a scope, %d with one", bareEpochs, scopedEpochs)
+	}
+	if bareCkpts != bareEpochs || scopedCkpts != scopedEpochs {
+		t.Fatalf("fleet checkpoints %d/%d disagree with epochs %d/%d",
+			bareCkpts, scopedCkpts, bareEpochs, scopedEpochs)
+	}
+}
+
 // TestObsResilienceGaveUp checks the give-up path: resumes disabled, the
 // fleet records the abandoned session.
 func TestObsResilienceGaveUp(t *testing.T) {
